@@ -6,7 +6,7 @@
 
 use rb_analyze::hb::{self, HbConfig, HbKind};
 use rb_broker::DefaultPolicy;
-use rb_simcore::{MetricsRegistry, QueueKind, SimTime};
+use rb_simcore::{MetricsRegistry, SimTime};
 use rb_workloads::scenarios::{
     await_calypso_workers, broker_testbed_hb, broker_testbed_sharded, submit_endless_calypso,
 };
@@ -24,13 +24,7 @@ fn fixture(name: &str) -> String {
 /// The busy calypso scenario from the sharded-equivalence suite, with HB
 /// records on. Returns the rendered trace.
 fn calypso_hb_trace(shards: usize) -> String {
-    let mut c = broker_testbed_hb(
-        4,
-        42,
-        Box::new(DefaultPolicy::default()),
-        QueueKind::Heap,
-        shards,
-    );
+    let mut c = broker_testbed_hb(4, 42, Box::new(DefaultPolicy::default()), shards);
     submit_endless_calypso(&mut c, 4, 500);
     let limit = SimTime(c.world.now().as_micros() + 60_000_000);
     await_calypso_workers(&mut c, 4, limit);
@@ -66,12 +60,7 @@ fn calypso_runs_are_race_free_at_2_and_4_shards() {
 
 #[test]
 fn realloc_run_is_race_free() {
-    let (_, c) = prime_with_realloc_hb(
-        7,
-        rb_proto::CommandSpec::Loop { cpu_millis: 3_000 },
-        QueueKind::Heap,
-        4,
-    );
+    let (_, c) = prime_with_realloc_hb(7, rb_proto::CommandSpec::Loop { cpu_millis: 3_000 }, 4);
     let report =
         hb::check_recorded(c.world.trace().events(), &HbConfig::default()).expect("hb records");
     assert!(
@@ -91,14 +80,7 @@ fn hb_records_are_a_pure_overlay() {
     // the trace the same run records without hb_trace: the HB layer
     // observes the simulation, never perturbs it.
     let with_hb = calypso_hb_trace(4);
-    let mut c = broker_testbed_sharded(
-        4,
-        42,
-        Box::new(DefaultPolicy::default()),
-        true,
-        QueueKind::Heap,
-        4,
-    );
+    let mut c = broker_testbed_sharded(4, 42, Box::new(DefaultPolicy::default()), true, 4);
     submit_endless_calypso(&mut c, 4, 500);
     let limit = SimTime(c.world.now().as_micros() + 60_000_000);
     await_calypso_workers(&mut c, 4, limit);
@@ -179,13 +161,7 @@ fn sabotaged_key_streams_are_caught() {
 #[test]
 fn world_post_run_check_passes_clean_and_fails_missing_records() {
     // Installed on an hb-traced sharded world: passes.
-    let mut c = broker_testbed_hb(
-        2,
-        11,
-        Box::new(DefaultPolicy::default()),
-        QueueKind::Heap,
-        2,
-    );
+    let mut c = broker_testbed_hb(2, 11, Box::new(DefaultPolicy::default()), 2);
     hb::install_hb_check(&mut c.world, false);
     submit_endless_calypso(&mut c, 2, 300);
     let limit = SimTime(c.world.now().as_micros() + 20_000_000);
@@ -194,14 +170,7 @@ fn world_post_run_check_passes_clean_and_fails_missing_records() {
     c.world.run_trace_checks().expect("clean hb check");
 
     // Installed on a world without hb records: the check reports why.
-    let mut c = broker_testbed_sharded(
-        2,
-        11,
-        Box::new(DefaultPolicy::default()),
-        true,
-        QueueKind::Heap,
-        2,
-    );
+    let mut c = broker_testbed_sharded(2, 11, Box::new(DefaultPolicy::default()), true, 2);
     hb::install_hb_check(&mut c.world, false);
     c.settle();
     let err = c.world.run_trace_checks().unwrap_err();

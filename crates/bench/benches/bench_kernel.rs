@@ -1,52 +1,38 @@
 //! Microbenchmarks of the simulation kernel itself: event-queue throughput
-//! (both backends) and the processor-sharing scheduler.
+//! and the processor-sharing scheduler.
 
-use rb_simcore::{Duration, EventQueue, QueueKind, SimTime};
+use rb_simcore::{Duration, EventQueue, SimTime};
 use rb_simnet::cpu::CpuScheduler;
 
 fn main() {
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let label = match kind {
-            QueueKind::Heap => "heap",
-            QueueKind::Wheel => "wheel",
-        };
-        for n in [1_000u64, 100_000] {
-            rb_bench::bench(
-                &format!("kernel/event_queue/{label}/push_pop/{n}"),
-                20,
-                || {
-                    let mut q = EventQueue::with_kind(kind);
-                    // Deterministic pseudo-shuffled times.
-                    for i in 0..n {
-                        q.push(SimTime((i * 2_654_435_761) % 1_000_000), i);
-                    }
-                    let mut count = 0u64;
-                    while q.pop().is_some() {
-                        count += 1;
-                    }
-                    count
-                },
-            );
-            // Sliding-window workload: the queue stays shallow but time
-            // advances, which is the shape real simulations produce.
-            rb_bench::bench(
-                &format!("kernel/event_queue/{label}/sliding/{n}"),
-                20,
-                || {
-                    let mut q = EventQueue::with_kind(kind);
-                    for i in 0..128u64 {
-                        q.push(SimTime(i * 97 % 10_000), i);
-                    }
-                    let mut count = 0u64;
-                    for i in 0..n {
-                        let (t, _) = q.pop().expect("queue kept warm");
-                        q.push(SimTime(t.0 + 1 + (i * 2_654_435_761) % 10_000), i);
-                        count += 1;
-                    }
-                    count
-                },
-            );
-        }
+    for n in [1_000u64, 100_000] {
+        rb_bench::bench(&format!("kernel/event_queue/push_pop/{n}"), 20, || {
+            let mut q = EventQueue::new();
+            // Deterministic pseudo-shuffled times.
+            for i in 0..n {
+                q.push(SimTime((i * 2_654_435_761) % 1_000_000), i);
+            }
+            let mut count = 0u64;
+            while q.pop().is_some() {
+                count += 1;
+            }
+            count
+        });
+        // Sliding-window workload: the queue stays shallow but time
+        // advances, which is the shape real simulations produce.
+        rb_bench::bench(&format!("kernel/event_queue/sliding/{n}"), 20, || {
+            let mut q = EventQueue::new();
+            for i in 0..128u64 {
+                q.push(SimTime(i * 97 % 10_000), i);
+            }
+            let mut count = 0u64;
+            for i in 0..n {
+                let (t, _) = q.pop().expect("queue kept warm");
+                q.push(SimTime(t.0 + 1 + (i * 2_654_435_761) % 10_000), i);
+                count += 1;
+            }
+            count
+        });
     }
     rb_bench::bench("kernel/cpu_scheduler/ps_64_bursts", 20, || {
         let mut cpu = CpuScheduler::new(1.0);

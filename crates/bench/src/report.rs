@@ -10,7 +10,7 @@
 //! median events/sec against a committed reference.
 
 use crate::json::Json;
-use rb_simcore::{QueueKind, QueueStats, Summary};
+use rb_simcore::{QueueStats, Summary};
 use std::time::Instant;
 
 /// The git revision the report was produced from: `RB_GIT_REV` when set
@@ -57,13 +57,6 @@ pub fn host_json() -> Json {
         .set("arch", std::env::consts::ARCH)
 }
 
-fn queue_kind_str(kind: QueueKind) -> &'static str {
-    match kind {
-        QueueKind::Heap => "heap",
-        QueueKind::Wheel => "wheel",
-    }
-}
-
 /// What one repetition of a scenario produced (wall time is measured by the
 /// harness around the call).
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +70,6 @@ pub struct RepOutcome {
 /// A named deterministic scenario: seed in, finished run out.
 pub struct Scenario {
     pub name: String,
-    /// Which [`EventQueue`](rb_simcore::EventQueue) backend the scenario
-    /// drives — recorded in the JSON so baselines from different backends
-    /// are never silently compared.
-    pub queue_kind: QueueKind,
     /// Kernel event shards the scenario runs with (1 = serial kernel) —
     /// provenance for the `BENCH_parallel` family, recorded in the JSON.
     pub shards: usize,
@@ -98,18 +87,11 @@ impl Scenario {
     pub fn new(name: impl Into<String>, run: impl Fn(u64) -> RepOutcome + Sync + 'static) -> Self {
         Scenario {
             name: name.into(),
-            queue_kind: QueueKind::Heap,
             shards: 1,
             threads: 1,
             exclusive: false,
             run: Box::new(run),
         }
-    }
-
-    /// Tag the scenario with the queue backend it exercises.
-    pub fn with_queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue_kind = kind;
-        self
     }
 
     /// Tag the scenario with the shard count it runs under.
@@ -135,7 +117,6 @@ impl Scenario {
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     pub name: String,
-    pub queue_kind: QueueKind,
     pub shards: usize,
     pub threads: usize,
     pub reps: usize,
@@ -195,7 +176,6 @@ pub fn run_scenario(scenario: &Scenario, base_seed: u64, reps: usize) -> Scenari
     let first = measured[0].1;
     ScenarioReport {
         name: scenario.name.clone(),
-        queue_kind: scenario.queue_kind,
         shards: scenario.shards,
         threads: scenario.threads,
         reps,
@@ -223,7 +203,6 @@ fn summary_json(s: &Summary) -> Json {
 pub fn scenario_json(r: &ScenarioReport) -> Json {
     Json::obj()
         .set("name", r.name.as_str())
-        .set("queue_kind", queue_kind_str(r.queue_kind))
         .set("shards", r.shards)
         .set("threads", r.threads)
         .set("samples", r.reps)
@@ -263,8 +242,9 @@ pub fn render_scenario_line(r: &ScenarioReport) -> String {
 }
 
 /// Compare a freshly generated report against a baseline document: every
-/// scenario present in both must keep `median events/sec >= min_ratio ×
-/// baseline`. Returns human-readable comparison lines, or the violations.
+/// baseline scenario must still be produced and keep
+/// `median events/sec >= min_ratio × baseline`. Returns human-readable
+/// comparison lines, or the violations.
 pub fn check_against_baseline(
     current: &Json,
     baseline: &Json,
@@ -277,18 +257,23 @@ pub fn check_against_baseline(
         .get("scenarios")
         .and_then(Json::as_arr)
         .unwrap_or(&empty);
-    for cur in current
+    let cur_scenarios = current
         .get("scenarios")
         .and_then(Json::as_arr)
-        .unwrap_or(&empty)
-    {
-        let Some(name) = cur.get("name").and_then(Json::as_str) else {
+        .unwrap_or(&empty);
+    fn name_of(s: &Json) -> Option<&str> {
+        s.get("name").and_then(Json::as_str)
+    }
+    for name in base_scenarios.iter().filter_map(name_of) {
+        if !cur_scenarios.iter().any(|c| name_of(c) == Some(name)) {
+            violations.push(format!("{name}: in the baseline but not produced"));
+        }
+    }
+    for cur in cur_scenarios {
+        let Some(name) = name_of(cur) else {
             continue;
         };
-        let Some(base) = base_scenarios
-            .iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(name))
-        else {
+        let Some(base) = base_scenarios.iter().find(|b| name_of(b) == Some(name)) else {
             lines.push(format!("{name}: no baseline entry (new scenario)"));
             continue;
         };
@@ -348,7 +333,6 @@ mod tests {
                 sim_seconds: 1.0,
             }
         });
-        let s = s.with_queue_kind(QueueKind::Wheel);
         let r = run_scenario(&s, 1, 4);
         assert_eq!(r.reps, 4);
         assert_eq!(r.events_dispatched, 10_000);
@@ -356,7 +340,6 @@ mod tests {
         assert!(r.events_per_sec.median() > 0.0);
         let j = scenario_json(&r);
         assert_eq!(j.get("name").unwrap().as_str(), Some("spin"));
-        assert_eq!(j.get("queue_kind").unwrap().as_str(), Some("wheel"));
         assert_eq!(j.get("samples").and_then(Json::as_f64), Some(4.0));
     }
 
@@ -387,10 +370,18 @@ mod tests {
         let base = doc(vec![fake("a", 1000.0), fake("b", 1000.0)]);
         let good = doc(vec![fake("a", 2000.0), fake("b", 990.0)]);
         assert!(check_against_baseline(&good, &base, 0.9).is_ok());
-        let bad = doc(vec![fake("a", 400.0)]);
+        let bad = doc(vec![fake("a", 400.0), fake("b", 1000.0)]);
         let err = check_against_baseline(&bad, &base, 0.9).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("0.40x"));
+    }
+
+    #[test]
+    fn baseline_guard_flags_dropped_scenarios() {
+        let base = doc(vec![fake("a", 1000.0), fake("gone", 1000.0)]);
+        let cur = doc(vec![fake("a", 1000.0)]);
+        let err = check_against_baseline(&cur, &base, 0.5).unwrap_err();
+        assert_eq!(err, ["gone: in the baseline but not produced"]);
     }
 
     #[test]

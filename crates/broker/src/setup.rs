@@ -13,7 +13,7 @@ use crate::policy::Policy;
 use crate::rshprime::RshPrimeInstaller;
 use crate::subappl::SubAppl;
 use rb_proto::{CommandSpec, ExitStatus, MachineAttrs, MachineId, ProcId};
-use rb_simcore::{QueueKind, SimTime};
+use rb_simcore::SimTime;
 use rb_simnet::{
     BasePrograms, Behavior, CostModel, FactoryChain, ProcEnv, ProgramFactory, RshBinding, World,
     WorldBuilder,
@@ -51,8 +51,6 @@ pub struct ClusterOptions {
     /// Sample kernel/cluster gauges into the metrics registry at this
     /// interval (`None` disables metrics entirely — zero cost).
     pub metrics_interval: Option<rb_simcore::Duration>,
-    /// Event-queue backend for the kernel (both replay bit-identically).
-    pub scheduler: QueueKind,
     /// Event shards for the kernel (1 = serial; any count replays
     /// bit-identically — see [`rb_simnet::WorldBuilder::shards`]).
     pub shards: usize,
@@ -79,7 +77,6 @@ impl Default for ClusterOptions {
             trace_stream: None,
             profile: false,
             metrics_interval: None,
-            scheduler: QueueKind::default(),
             shards: 1,
             threads: 1,
             hb_trace: false,
@@ -119,7 +116,6 @@ pub fn build_cluster(opts: ClusterOptions) -> Cluster {
         .cost(opts.cost)
         .trace(opts.trace)
         .profile(opts.profile)
-        .scheduler(opts.scheduler)
         .shards(opts.shards)
         .threads(opts.threads)
         .hb_trace(opts.hb_trace)

@@ -23,7 +23,6 @@ pub mod span;
 pub mod spsc;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use arena::{Slab, SlabKey};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -31,7 +30,7 @@ pub use json::Json;
 pub use key::{merge_dispatch_logs, DispatchKey, KeyStream};
 pub use metrics::{Histogram, Series, Summary};
 pub use prof::{ProfEntry, ProfTimer, Profiler};
-pub use queue::{EventQueue, QueueKind, QueueStats, ScheduleOracle};
+pub use queue::{EventQueue, QueueStats, ScheduleOracle};
 pub use registry::MetricsRegistry;
 pub use rng::SimRng;
 pub use sink::{FullSink, RingSink, StreamSink, TraceSink};
@@ -41,4 +40,3 @@ pub use time::{Duration, SimTime};
 pub use trace::{
     parse_rendered, parse_stats_comment, Topic, TraceEvent, TraceFileStats, TraceRecorder,
 };
-pub use wheel::TimerWheel;

@@ -34,8 +34,8 @@ use rb_proto::{
     RshHandle, Signal, TimerToken, MACHINE_TAG_SHIFT,
 };
 use rb_simcore::{
-    Duration, EventQueue, FxHashMap, KeyStream, MetricsRegistry, ProfTimer, Profiler, QueueKind,
-    SimRng, SimTime, SpanTracker, TraceEvent, TraceRecorder,
+    Duration, EventQueue, FxHashMap, KeyStream, MetricsRegistry, ProfTimer, Profiler, SimRng,
+    SimTime, SpanTracker, TraceEvent, TraceRecorder,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -395,7 +395,7 @@ impl Lane {
             idx: usize::MAX,
             shards: 1,
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(QueueKind::Heap),
+            queue: EventQueue::new(),
             machines: Vec::new(),
             mkern: Vec::new(),
             rsh_ops: Default::default(),

@@ -27,7 +27,7 @@ use crate::shard::{ShardStats, Synchronizer};
 use rb_proto::{CommandSpec, ExitStatus, MachineAttrs, MachineId, Payload, ProcId, Signal};
 use rb_simcore::{
     merge_dispatch_logs, DispatchKey, Duration, EventQueue, Json, KeyStream, MetricsRegistry,
-    Profiler, QueueKind, QueueStats, SimTime, SpanId, SpanTracker, TraceRecorder,
+    Profiler, QueueStats, SimTime, SpanId, SpanTracker, TraceRecorder,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -58,7 +58,6 @@ pub struct WorldBuilder {
     trace_stream: Option<(Box<dyn std::io::Write + Send>, usize)>,
     profile: bool,
     metrics_interval: Option<Duration>,
-    scheduler: QueueKind,
     shards: usize,
     threads: usize,
     hb_trace: bool,
@@ -80,7 +79,6 @@ impl WorldBuilder {
             trace_stream: None,
             profile: false,
             metrics_interval: None,
-            scheduler: QueueKind::Heap,
             shards: 1,
             threads: 1,
             hb_trace: false,
@@ -158,14 +156,6 @@ impl WorldBuilder {
     /// `Option` branch per dispatched event and nothing else.
     pub fn metrics(mut self, interval: Duration) -> Self {
         self.metrics_interval = Some(interval);
-        self
-    }
-
-    /// Which data structure backs the kernel's event queues. Both kinds
-    /// replay bit-identically; `Wheel` trades the heap's `O(log n)` for
-    /// `O(1)` scheduling on deep queues.
-    pub fn scheduler(mut self, kind: QueueKind) -> Self {
-        self.scheduler = kind;
         self
     }
 
@@ -282,7 +272,7 @@ impl WorldBuilder {
                     }
                     mkern.push(kern);
                 }
-                let mut queue = EventQueue::with_kind(self.scheduler);
+                let mut queue = EventQueue::new();
                 // Typical clusters keep a few hundred events pending;
                 // skip the first growth reallocations.
                 queue.reserve(256);
@@ -316,7 +306,7 @@ impl WorldBuilder {
             now: SimTime::ZERO,
             shared,
             lanes,
-            harness_q: EventQueue::with_kind(self.scheduler),
+            harness_q: EventQueue::new(),
             harness_keys: KeyStream::harness(),
             harness_spans: SpanTracker::new(),
             stats: QueueStats::default(),
@@ -370,10 +360,11 @@ struct Job {
 
 /// The lane worker pool: one channel per worker (lane→worker assignment
 /// is static, `lane % workers`, so a lane's cache state tends to stay on
-/// one core), one shared result channel back to the coordinator.
+/// one core), one shared result channel back to the coordinator. A
+/// worker sends back its lane, or the panic that ended the lane's window.
 struct Pool {
     txs: Vec<mpsc::Sender<Job>>,
-    rx: mpsc::Receiver<(usize, Lane)>,
+    rx: mpsc::Receiver<(usize, std::thread::Result<Lane>)>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -390,8 +381,8 @@ impl Pool {
                     .name(format!("rb-lane-{w}"))
                     .spawn(move || {
                         while let Ok(mut job) = job_rx.recv() {
-                            job.lane.run_window(&job.shared, job.end);
-                            if res.send((job.idx, job.lane)).is_err() {
+                            let ran = run_window_caught(&mut job.lane, &job.shared, job.end);
+                            if res.send((job.idx, ran.map(|()| job.lane))).is_err() {
                                 break;
                             }
                         }
@@ -402,6 +393,29 @@ impl Pool {
         }
         Pool { txs, rx, handles }
     }
+}
+
+/// Run one lane's window, catching a behavior panic so the coordinator
+/// can report it instead of waiting forever for the lane to come back.
+fn run_window_caught(
+    lane: &mut Lane,
+    shared: &SharedCore,
+    end: SimTime,
+) -> std::thread::Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        lane.run_window(shared, end)
+    }))
+}
+
+/// Re-raise a panic caught in a lane's window on the coordinator, naming
+/// the lane and the window it was running.
+fn lane_panicked(lane: usize, end: SimTime, payload: Box<dyn std::any::Any + Send>) -> ! {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    panic!("lane {lane} panicked in the window ending at {end}: {msg}");
 }
 
 impl Drop for Pool {
@@ -525,11 +539,6 @@ impl World {
     /// trajectory.
     pub fn kernel_stats(&self) -> QueueStats {
         self.stats
-    }
-
-    /// Which backend the kernel's event queues run on.
-    pub fn scheduler_kind(&self) -> QueueKind {
-        self.lanes[0].queue.kind()
     }
 
     /// How many event lanes the kernel runs (1 = serial).
@@ -840,7 +849,7 @@ impl World {
             m.cpu.generation().hash(&mut h);
         }
         // Pending events form a multiset with no stable order across
-        // backends or lanes; combine per-event hashes commutatively.
+        // heap layouts or lanes; combine per-event hashes commutatively.
         let mut pending: u64 = 0;
         let mut add = |at: SimTime, info: &EventInfo| {
             let mut eh = rb_simcore::FxHasher::default();
@@ -1369,10 +1378,8 @@ impl World {
 
     /// Oracle-guided pop: drain the earliest equal-time batch, let the
     /// installed [`WorldOracle`] pick one entry, and put the rest back with
-    /// their original keys (in ascending order, which keeps both queue
-    /// backends bit-identical — see [`EventQueue::requeue`]). Singleton
-    /// batches never consult the oracle, so guidance only costs anything
-    /// where a real scheduling choice exists.
+    /// their original keys. Singleton batches never consult the oracle, so
+    /// guidance only costs anything where a real scheduling choice exists.
     fn pop_with_oracle(&mut self) -> Option<(SimTime, u64, Event)> {
         debug_assert_eq!(self.lanes.len(), 1, "oracles require a single lane");
         let (at, mut batch) = self.lanes[0].queue.pop_front_batch()?;
@@ -1391,10 +1398,7 @@ impl World {
         let mut oracle = self.oracle.take().expect("caller checked");
         let idx = oracle.choose(at, state, &infos).min(batch.len() - 1);
         self.oracle = Some(oracle);
-        // O(1) extraction; the survivors then go back sorted by key, the
-        // order `requeue` needs for backend bit-identity.
         let (key, chosen) = batch.swap_remove(idx);
-        batch.sort_unstable_by_key(|&(k, _)| k);
         for (k, ev) in batch {
             self.lanes[0].queue.requeue(at, k, ev);
         }
@@ -1539,7 +1543,9 @@ impl World {
             let shared = self.shared.clone();
             if active.len() == 1 {
                 let li = active[0];
-                self.lanes[li].run_window(&shared, end);
+                if let Err(payload) = run_window_caught(&mut self.lanes[li], &shared, end) {
+                    lane_panicked(li, end, payload);
+                }
             } else {
                 let pool = self.pool.as_ref().expect("ensured above");
                 let workers = pool.txs.len();
@@ -1554,9 +1560,21 @@ impl World {
                         })
                         .expect("lane worker alive");
                 }
+                // Collect every lane before re-raising, so the lowest
+                // panicking lane is the one reported.
+                let mut panicked = None;
                 for _ in 0..active.len() {
-                    let (idx, lane) = pool.rx.recv().expect("lane worker alive");
-                    self.lanes[idx] = lane;
+                    match pool.rx.recv().expect("lane worker alive") {
+                        (idx, Ok(lane)) => self.lanes[idx] = lane,
+                        (idx, Err(payload)) => {
+                            if panicked.as_ref().is_none_or(|&(first, _)| idx < first) {
+                                panicked = Some((idx, payload));
+                            }
+                        }
+                    }
+                }
+                if let Some((idx, payload)) = panicked {
+                    lane_panicked(idx, end, payload);
                 }
             }
             // Replay the merged logs against the world-side observers in

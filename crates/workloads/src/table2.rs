@@ -15,7 +15,7 @@ use crate::scenarios::{
 };
 use rb_broker::{Cluster, DefaultPolicy, JobRequest, JobRun};
 use rb_proto::CommandSpec;
-use rb_simcore::{QueueKind, SimTime, Summary};
+use rb_simcore::{SimTime, Summary};
 use rb_simnet::ProcEnv;
 
 const LIMIT_OFF: u64 = 600_000_000;
@@ -177,7 +177,7 @@ pub fn prime_with_realloc_profiled(
     (outcome, trace, metrics, profile)
 }
 
-/// [`prime_with_realloc`] on an explicit queue backend and shard count.
+/// [`prime_with_realloc`] on an explicit shard count.
 /// With `trace` on, the second return value is the rendered trace — the
 /// sharded-equivalence tests compare it byte-for-byte across shard
 /// counts; `bench_report` runs this untraced for the `BENCH_parallel`
@@ -185,11 +185,10 @@ pub fn prime_with_realloc_profiled(
 pub fn prime_with_realloc_sharded(
     seed: u64,
     cmd: CommandSpec,
-    scheduler: QueueKind,
     shards: usize,
     trace: bool,
 ) -> (RunOutcome, String) {
-    prime_with_realloc_threaded(seed, cmd, scheduler, shards, 1, trace)
+    prime_with_realloc_threaded(seed, cmd, shards, 1, trace)
 }
 
 /// [`prime_with_realloc_sharded`] with worker threads dispatching the
@@ -199,7 +198,6 @@ pub fn prime_with_realloc_sharded(
 pub fn prime_with_realloc_threaded(
     seed: u64,
     cmd: CommandSpec,
-    scheduler: QueueKind,
     shards: usize,
     threads: usize,
     trace: bool,
@@ -209,7 +207,6 @@ pub fn prime_with_realloc_threaded(
         seed,
         Box::new(DefaultPolicy::default()),
         trace,
-        scheduler,
         shards,
         threads,
     );
@@ -242,19 +239,8 @@ pub fn prime_with_realloc_threaded(
 /// trace (`hb_trace` on): the realloc workload the `rbrace hb` checker
 /// proves race-free. Returns the cluster so callers can render the
 /// trace, export metrics, or install post-run checks.
-pub fn prime_with_realloc_hb(
-    seed: u64,
-    cmd: CommandSpec,
-    scheduler: QueueKind,
-    shards: usize,
-) -> (RunOutcome, Cluster) {
-    let mut c = broker_testbed_hb(
-        2,
-        seed,
-        Box::new(DefaultPolicy::default()),
-        scheduler,
-        shards,
-    );
+pub fn prime_with_realloc_hb(seed: u64, cmd: CommandSpec, shards: usize) -> (RunOutcome, Cluster) {
+    let mut c = broker_testbed_hb(2, seed, Box::new(DefaultPolicy::default()), shards);
     submit_endless_calypso(&mut c, 2, 800);
     let limit = SimTime(c.world.now().as_micros() + 60_000_000);
     await_calypso_workers(&mut c, 2, limit);

@@ -24,9 +24,6 @@ pub struct UtilizationConfig {
     /// Total experiment length, in hours.
     pub hours: f64,
     pub seed: u64,
-    /// Kernel event-queue backend (results are identical; throughput may
-    /// differ).
-    pub scheduler: rb_simcore::QueueKind,
     /// Kernel event shards (1 = serial; results are identical).
     pub shards: usize,
 }
@@ -40,7 +37,6 @@ impl Default for UtilizationConfig {
             runtime_max_minutes: 10.0,
             hours: 5.0,
             seed: 11,
-            scheduler: rb_simcore::QueueKind::default(),
             shards: 1,
         }
     }
@@ -81,7 +77,6 @@ fn run_inner(cfg: &UtilizationConfig, timeline: bool) -> (UtilizationReport, rb_
         cfg.seed,
         Box::new(DefaultPolicy::default()),
         false,
-        cfg.scheduler,
         cfg.shards,
     );
     // The adaptive job fills the cluster.

@@ -1,11 +1,10 @@
-//! Scheduler-equivalence guarantees: the heap and timer-wheel event-queue
-//! backends replay the same seed bit-identically, tracing is a pure
-//! observer (enabling it does not perturb the simulation), and the
-//! sharded kernel replays byte-identically to the serial one at every
-//! shard count, on both backends.
+//! Scheduler-equivalence guarantees: tracing, streaming and profiling are
+//! pure observers (enabling them does not perturb the simulation), and the
+//! sharded and threaded kernels replay byte-identically to the serial one
+//! at every shard count.
 
 use rb_broker::DefaultPolicy;
-use rb_simcore::{QueueKind, SimTime};
+use rb_simcore::{QueueStats, SimTime};
 use rb_workloads::scenarios::{
     await_calypso_workers, broker_testbed_sharded, broker_testbed_streamed,
     broker_testbed_threaded, submit_endless_calypso,
@@ -38,21 +37,8 @@ impl SharedBuf {
 /// A busy broker scenario: adaptive job grabs the cluster, then runs on.
 /// Returns the rendered trace (empty when tracing is off), final virtual
 /// time, and the kernel's work counters.
-fn run_scenario_sharded(
-    kind: QueueKind,
-    seed: u64,
-    trace: bool,
-    shards: usize,
-) -> (String, u64, rb_simcore::QueueStats) {
-    let mut c = broker_testbed_sharded(
-        4,
-        seed,
-        Box::new(DefaultPolicy::default()),
-        trace,
-        kind,
-        shards,
-    );
-    assert_eq!(c.world.scheduler_kind(), kind);
+fn run_scenario_sharded(seed: u64, trace: bool, shards: usize) -> (String, u64, QueueStats) {
+    let mut c = broker_testbed_sharded(4, seed, Box::new(DefaultPolicy::default()), trace, shards);
     assert_eq!(c.world.shard_count(), shards);
     submit_endless_calypso(&mut c, 4, 500);
     let limit = SimTime(c.world.now().as_micros() + 60_000_000);
@@ -65,23 +51,17 @@ fn run_scenario_sharded(
     )
 }
 
-fn run_scenario(kind: QueueKind, trace: bool) -> (String, u64, rb_simcore::QueueStats) {
-    run_scenario_sharded(kind, 42, trace, 1)
+fn run_scenario(trace: bool) -> (String, u64, QueueStats) {
+    run_scenario_sharded(42, trace, 1)
 }
 
 /// The busy scenario with the lanes dispatched by a worker-thread pool.
-fn run_scenario_threaded(
-    kind: QueueKind,
-    seed: u64,
-    shards: usize,
-    threads: usize,
-) -> (String, u64, rb_simcore::QueueStats) {
+fn run_scenario_threaded(seed: u64, shards: usize, threads: usize) -> (String, u64, QueueStats) {
     let mut c = broker_testbed_threaded(
         4,
         seed,
         Box::new(DefaultPolicy::default()),
         true,
-        kind,
         shards,
         threads,
     );
@@ -98,64 +78,31 @@ fn run_scenario_threaded(
 }
 
 #[test]
-fn heap_and_wheel_traces_are_byte_identical() {
-    let (heap_trace, heap_now, heap_stats) = run_scenario(QueueKind::Heap, true);
-    let (wheel_trace, wheel_now, wheel_stats) = run_scenario(QueueKind::Wheel, true);
-    assert!(
-        heap_trace.lines().count() > 100,
-        "scenario should be busy, got {} trace lines",
-        heap_trace.lines().count()
-    );
-    assert_eq!(heap_trace, wheel_trace, "trace divergence between backends");
-    assert_eq!(heap_now, wheel_now);
-    assert_eq!(heap_stats.scheduled, wheel_stats.scheduled);
-    assert_eq!(heap_stats.dispatched, wheel_stats.dispatched);
-    assert_eq!(heap_stats.peak_depth, wheel_stats.peak_depth);
-}
-
-#[test]
 fn tracing_is_a_pure_observer() {
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let (traced, now_on, stats_on) = run_scenario(kind, true);
-        let (untraced, now_off, stats_off) = run_scenario(kind, false);
-        assert!(!traced.is_empty());
-        assert!(untraced.is_empty(), "disabled recorder must store nothing");
-        assert_eq!(now_on, now_off, "{kind:?}: tracing changed the clock");
-        assert_eq!(stats_on.scheduled, stats_off.scheduled);
-        assert_eq!(stats_on.dispatched, stats_off.dispatched);
-    }
+    let (traced, now_on, stats_on) = run_scenario(true);
+    let (untraced, now_off, stats_off) = run_scenario(false);
+    assert!(traced.lines().count() > 100, "scenario should be busy");
+    assert!(untraced.is_empty(), "disabled recorder must store nothing");
+    assert_eq!(now_on, now_off, "tracing changed the clock");
+    assert_eq!(stats_on, stats_off);
 }
 
 /// The tentpole determinism contract: a sharded kernel replays the serial
 /// kernel byte-for-byte — same trace, same clock, same work counters — at
-/// every shard count, on both queue backends, across seeds.
+/// every shard count, across seeds.
 #[test]
 fn sharded_kernel_is_byte_identical_to_serial() {
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        for seed in [42u64, 9001] {
-            let (serial_trace, serial_now, serial_stats) =
-                run_scenario_sharded(kind, seed, true, 1);
-            assert!(serial_trace.lines().count() > 100);
-            for shards in [2usize, 4] {
-                let (trace, now, stats) = run_scenario_sharded(kind, seed, true, shards);
-                assert_eq!(
-                    serial_trace, trace,
-                    "{kind:?} seed {seed}: shards={shards} diverged from serial"
-                );
-                assert_eq!(serial_now, now, "{kind:?} seed {seed} shards={shards}");
-                assert_eq!(
-                    serial_stats.scheduled, stats.scheduled,
-                    "{kind:?} seed {seed} shards={shards}"
-                );
-                assert_eq!(
-                    serial_stats.dispatched, stats.dispatched,
-                    "{kind:?} seed {seed} shards={shards}"
-                );
-                assert_eq!(
-                    serial_stats.peak_depth, stats.peak_depth,
-                    "{kind:?} seed {seed} shards={shards}"
-                );
-            }
+    for seed in [42u64, 9001] {
+        let (serial_trace, serial_now, serial_stats) = run_scenario_sharded(seed, true, 1);
+        assert!(serial_trace.lines().count() > 100);
+        for shards in [2usize, 4] {
+            let (trace, now, stats) = run_scenario_sharded(seed, true, shards);
+            assert_eq!(
+                serial_trace, trace,
+                "seed {seed}: shards={shards} diverged from serial"
+            );
+            assert_eq!(serial_now, now, "seed {seed} shards={shards}");
+            assert_eq!(serial_stats, stats, "seed {seed} shards={shards}");
         }
     }
 }
@@ -167,18 +114,13 @@ fn sharded_kernel_is_byte_identical_to_serial() {
 fn sharded_reallocation_is_byte_identical_to_serial() {
     use rb_proto::CommandSpec;
     use rb_workloads::table2::prime_with_realloc_sharded;
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let (serial_out, serial_trace) =
-            prime_with_realloc_sharded(2024, CommandSpec::Null, kind, 1, true);
-        assert!(serial_trace.lines().count() > 100);
-        for shards in [2usize, 4] {
-            let (out, trace) =
-                prime_with_realloc_sharded(2024, CommandSpec::Null, kind, shards, true);
-            assert_eq!(serial_trace, trace, "{kind:?} shards={shards} diverged");
-            assert_eq!(serial_out.elapsed_secs, out.elapsed_secs);
-            assert_eq!(serial_out.queue.dispatched, out.queue.dispatched);
-            assert_eq!(serial_out.queue.scheduled, out.queue.scheduled);
-        }
+    let (serial_out, serial_trace) = prime_with_realloc_sharded(2024, CommandSpec::Null, 1, true);
+    assert!(serial_trace.lines().count() > 100);
+    for shards in [2usize, 4] {
+        let (out, trace) = prime_with_realloc_sharded(2024, CommandSpec::Null, shards, true);
+        assert_eq!(serial_trace, trace, "shards={shards} diverged");
+        assert_eq!(serial_out.elapsed_secs, out.elapsed_secs);
+        assert_eq!(serial_out.queue, out.queue, "shards={shards}");
     }
 }
 
@@ -188,14 +130,13 @@ fn sharded_reallocation_is_byte_identical_to_serial() {
 /// and sharded, so per-shard staging + absorb composes with streaming.
 #[test]
 fn streamed_trace_is_byte_identical_to_in_memory_render() {
-    let (full_trace, full_now, full_stats) = run_scenario_sharded(QueueKind::Heap, 42, true, 1);
+    let (full_trace, full_now, full_stats) = run_scenario_sharded(42, true, 1);
     for shards in [1usize, 2] {
         let buf = SharedBuf::default();
         let mut c = broker_testbed_streamed(
             4,
             42,
             Box::new(DefaultPolicy::default()),
-            QueueKind::Heap,
             shards,
             Box::new(buf.clone()),
             64,
@@ -230,7 +171,7 @@ fn streamed_trace_is_byte_identical_to_in_memory_render() {
 /// that agree with the kernel's own counters.
 #[test]
 fn profiling_is_a_pure_observer() {
-    let (plain_trace, plain_now, plain_stats) = run_scenario_sharded(QueueKind::Heap, 42, true, 1);
+    let (plain_trace, plain_now, plain_stats) = run_scenario_sharded(42, true, 1);
     let mut c = rb_workloads::scenarios::broker_testbed_profiled(
         4,
         42,
@@ -262,34 +203,20 @@ fn profiling_is_a_pure_observer() {
 
 /// The true-parallel determinism contract (DESIGN.md §17): dispatching
 /// the lanes on worker threads replays the serial kernel byte-for-byte —
-/// same trace, same clock, same work counters — at 2 and 4 shards, on
-/// both queue backends. Thread interleaving must not leak into any
-/// contract output.
+/// same trace, same clock, same work counters — at 2 and 4 shards.
+/// Thread interleaving must not leak into any contract output.
 #[test]
 fn threaded_kernel_is_byte_identical_to_serial() {
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let (serial_trace, serial_now, serial_stats) = run_scenario_sharded(kind, 42, true, 1);
-        assert!(serial_trace.lines().count() > 100);
-        for shards in [2usize, 4] {
-            let (trace, now, stats) = run_scenario_threaded(kind, 42, shards, 4);
-            assert_eq!(
-                serial_trace, trace,
-                "{kind:?}: threaded shards={shards} diverged from serial"
-            );
-            assert_eq!(serial_now, now, "{kind:?} shards={shards}");
-            assert_eq!(
-                serial_stats.scheduled, stats.scheduled,
-                "{kind:?} shards={shards}"
-            );
-            assert_eq!(
-                serial_stats.dispatched, stats.dispatched,
-                "{kind:?} shards={shards}"
-            );
-            assert_eq!(
-                serial_stats.peak_depth, stats.peak_depth,
-                "{kind:?} shards={shards}"
-            );
-        }
+    let (serial_trace, serial_now, serial_stats) = run_scenario_sharded(42, true, 1);
+    assert!(serial_trace.lines().count() > 100);
+    for shards in [2usize, 4] {
+        let (trace, now, stats) = run_scenario_threaded(42, shards, 4);
+        assert_eq!(
+            serial_trace, trace,
+            "threaded shards={shards} diverged from serial"
+        );
+        assert_eq!(serial_now, now, "shards={shards}");
+        assert_eq!(serial_stats, stats, "shards={shards}");
     }
 }
 
@@ -299,16 +226,13 @@ fn threaded_kernel_is_byte_identical_to_serial() {
 fn threaded_reallocation_is_byte_identical_to_serial() {
     use rb_proto::CommandSpec;
     use rb_workloads::table2::{prime_with_realloc_sharded, prime_with_realloc_threaded};
-    let (serial_out, serial_trace) =
-        prime_with_realloc_sharded(2024, CommandSpec::Null, QueueKind::Heap, 1, true);
+    let (serial_out, serial_trace) = prime_with_realloc_sharded(2024, CommandSpec::Null, 1, true);
     assert!(serial_trace.lines().count() > 100);
     for shards in [2usize, 4] {
-        let (out, trace) =
-            prime_with_realloc_threaded(2024, CommandSpec::Null, QueueKind::Heap, shards, 4, true);
+        let (out, trace) = prime_with_realloc_threaded(2024, CommandSpec::Null, shards, 4, true);
         assert_eq!(serial_trace, trace, "threaded shards={shards} diverged");
         assert_eq!(serial_out.elapsed_secs, out.elapsed_secs);
-        assert_eq!(serial_out.queue.dispatched, out.queue.dispatched);
-        assert_eq!(serial_out.queue.scheduled, out.queue.scheduled);
+        assert_eq!(serial_out.queue, out.queue, "threaded shards={shards}");
     }
 }
 
@@ -326,13 +250,14 @@ fn threaded_equivalence_holds_across_random_seeds() {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         let seed = z ^ (z >> 31);
-        let (serial_trace, serial_now, _) = run_scenario_sharded(QueueKind::Heap, seed, true, 1);
-        let (trace, now, _) = run_scenario_threaded(QueueKind::Heap, seed, 4, 4);
+        let (serial_trace, serial_now, serial_stats) = run_scenario_sharded(seed, true, 1);
+        let (trace, now, stats) = run_scenario_threaded(seed, 4, 4);
         assert_eq!(
             serial_trace, trace,
             "round {round} (seed {seed}): threaded run diverged from serial"
         );
         assert_eq!(serial_now, now, "round {round} (seed {seed})");
+        assert_eq!(serial_stats, stats, "round {round} (seed {seed})");
     }
 }
 
@@ -341,14 +266,7 @@ fn threaded_equivalence_holds_across_random_seeds() {
 /// the global count, and every cross-shard forward accounted.
 #[test]
 fn sharded_kernel_reports_synchronizer_stats() {
-    let mut c = broker_testbed_sharded(
-        4,
-        7,
-        Box::new(DefaultPolicy::default()),
-        false,
-        QueueKind::Heap,
-        4,
-    );
+    let mut c = broker_testbed_sharded(4, 7, Box::new(DefaultPolicy::default()), false, 4);
     assert!(c.world.shard_stats().is_some());
     submit_endless_calypso(&mut c, 4, 500);
     let limit = SimTime(c.world.now().as_micros() + 30_000_000);
@@ -371,14 +289,7 @@ fn sharded_kernel_reports_synchronizer_stats() {
         "every closed window is histogrammed"
     );
     // The serial kernel reports no shard stats.
-    let serial = broker_testbed_sharded(
-        4,
-        7,
-        Box::new(DefaultPolicy::default()),
-        false,
-        QueueKind::Heap,
-        1,
-    );
+    let serial = broker_testbed_sharded(4, 7, Box::new(DefaultPolicy::default()), false, 1);
     assert!(serial.world.shard_stats().is_none());
     assert_eq!(serial.world.shard_count(), 1);
 }
