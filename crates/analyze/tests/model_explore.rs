@@ -1,7 +1,8 @@
 //! Acceptance tests for the rb-model interleaving explorer (DESIGN.md §11):
 //! the Calypso handoff really branches, the seeded lost-wakeup bug is
 //! found and its schedule replays bit-identically, DPOR beats naive
-//! enumeration, and the fixed fixture is clean under every interleaving.
+//! enumeration, the fixed fixture is clean under every interleaving, and
+//! the oracle's index-0 schedule is the plain run.
 
 use rb_analyze::model::{self, explore, parse_schedule, schedule_to_string, ExploreConfig, Mode};
 use rb_analyze::{ModelReport, ModelScenario};
@@ -39,6 +40,45 @@ fn calypso_handoff_explores_multiple_states_and_is_clean() {
         "calypso handoff is clean under every interleaving: {:#?}",
         dpor.violations
     );
+}
+
+/// Index 0 everywhere reproduces the plain run: an oracle run steps one
+/// event at a time over merged harness and lane batches, a plain run goes
+/// through windows, and both render the same trace, `QueueStats` and
+/// clock.
+#[test]
+fn index_zero_schedule_is_the_plain_run() {
+    for name in ["calypso-handoff", "pvm-handoff", "lost-wakeup-fixture"] {
+        let sc = model::scenario(name).expect("known scenario");
+        let (guided, limit, decisions) = model::run_schedule(&sc, 1, &[]);
+        assert!(!decisions.is_empty(), "{name}: the oracle was never asked");
+        let (mut plain, plain_limit) = (sc.build)(1);
+        assert_eq!(limit, plain_limit, "{name}");
+        plain.run_until_idle(limit);
+        assert_eq!(guided.trace().render(), plain.trace().render(), "{name}");
+        assert_eq!(guided.kernel_stats(), plain.kernel_stats(), "{name}");
+        assert_eq!(guided.now(), plain.now(), "{name}");
+    }
+}
+
+/// The exact exploration the default budgets give, so a kernel change
+/// that perturbs batch order or fingerprints shows up as a count.
+#[test]
+fn default_exploration_counts_are_pinned() {
+    for (name, mode, schedules, states, choice_points) in [
+        ("calypso-handoff", Mode::Dpor, 3, 12, 36),
+        ("calypso-handoff", Mode::Naive, 13, 12, 156),
+        ("pvm-handoff", Mode::Dpor, 8, 21, 152),
+        ("pvm-handoff", Mode::Naive, 23, 21, 437),
+    ] {
+        let (_, r) = run(name, mode);
+        assert_eq!(
+            (r.schedules_executed, r.states_seen, r.choice_points),
+            (schedules, states, choice_points),
+            "{name} [{}]",
+            mode.as_str()
+        );
+    }
 }
 
 #[test]

@@ -19,11 +19,12 @@
 //!   its `shards` and `threads` provenance and a speedup-vs-serial
 //!   summary. Lanes dispatch on worker threads now (DESIGN.md §17) and
 //!   every configuration replays the serial run byte-identically, so the
-//!   sweep measures real wall-clock parallelism: coordinator rows
-//!   (`threads=1`) keep the synchronizer's overhead visible, threaded
-//!   rows show what the same windows cost when the lanes run
-//!   concurrently. Read the speedups next to `host.cores` — a
-//!   single-core host bounds wall parallelism at 1x by construction.
+//!   sweep measures real wall-clock parallelism: one-thread rows
+//!   (`threads=1`) run every window inline and keep the synchronizer's
+//!   overhead visible, threaded rows show what the same windows cost
+//!   when the lanes run concurrently. Read the speedups next to
+//!   `host.cores` — a single-core host bounds wall parallelism at 1x by
+//!   construction.
 //!
 //! ```text
 //! bench_report [reps] [--shards=1,2,4,8]
@@ -155,7 +156,7 @@ fn thread_cap() -> usize {
         .unwrap_or(4)
 }
 
-/// The sweep rows: for every shard count, a coordinator row (`threads=1`,
+/// The sweep rows: for every shard count, a one-thread row (`threads=1`,
 /// the synchronizer's overhead) and — where it differs — a threaded row
 /// (`threads = min(shards, cap)`, the measured parallel dispatch).
 fn parallel_configs() -> Vec<(usize, usize)> {
@@ -280,7 +281,7 @@ fn main() -> ExitCode {
     // The shard × thread sweep over the timer storm. Every configuration
     // replays the serial run byte-identically (scheduler_equiv and the
     // storm's own tests prove it), so the rows isolate cost and gain:
-    // coordinator rows (threads=1) price the synchronizer, threaded rows
+    // one-thread rows (threads=1) price the synchronizer, threaded rows
     // measure lanes dispatching on worker threads (DESIGN.md §17).
     let parallel_reports: Vec<_> = parallel_configs()
         .into_iter()
@@ -312,9 +313,8 @@ fn main() -> ExitCode {
             "lanes dispatch on worker threads (DESIGN.md \u{a7}17); every row \
              replays the serial run byte-identically, so speedup_vs_serial is \
              measured wall parallelism. Interpret it next to host.cores: a \
-             single-core host bounds wall speedup at ~1x, and any residual \
-             gain there comes from the threaded path's cheaper per-window \
-             coordination, not concurrency.",
+             single-core host bounds wall speedup at ~1x. threads=1 rows run \
+             the same windows inline on the calling thread.",
         );
     write_doc("BENCH_parallel.json", &parallel_doc);
 

@@ -73,8 +73,8 @@ pub struct Scenario {
     /// Kernel event shards the scenario runs with (1 = serial kernel) —
     /// provenance for the `BENCH_parallel` family, recorded in the JSON.
     pub shards: usize,
-    /// Worker threads the scenario's kernel dispatches with (1 = the
-    /// coordinator dispatches inline). Recorded in the JSON; setting it
+    /// Worker threads the scenario's kernel dispatches with (1 = every
+    /// lane's window runs inline). Recorded in the JSON; setting it
     /// via [`Scenario::with_threads`] also makes the harness run reps
     /// one at a time so the workers own the host's cores.
     pub threads: usize,

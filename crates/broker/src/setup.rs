@@ -54,9 +54,9 @@ pub struct ClusterOptions {
     /// Event shards for the kernel (1 = serial; any count replays
     /// bit-identically — see [`rb_simnet::WorldBuilder::shards`]).
     pub shards: usize,
-    /// Worker threads dispatching the shards in parallel (1 = the
-    /// coordinator dispatches every lane inline; byte-identical either
-    /// way — see [`rb_simnet::WorldBuilder::threads`]).
+    /// Worker threads dispatching the shards in parallel (1 = every
+    /// lane's window runs inline; byte-identical either way — see
+    /// [`rb_simnet::WorldBuilder::threads`]).
     pub threads: usize,
     /// Record happens-before metadata (`shard.ev` / `shard.window`) into
     /// the trace for the `rbrace hb` checker. Only effective on a

@@ -9,7 +9,6 @@
 //! `schedule` calls, a simulation replays identically. Ties in time are
 //! broken by insertion sequence number, never by heap internals.
 
-pub mod arena;
 pub mod fxhash;
 pub mod json;
 pub mod key;
@@ -20,22 +19,19 @@ pub mod registry;
 pub mod rng;
 pub mod sink;
 pub mod span;
-pub mod spsc;
 pub mod time;
 pub mod trace;
 
-pub use arena::{Slab, SlabKey};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use json::Json;
 pub use key::{merge_dispatch_logs, DispatchKey, KeyStream};
 pub use metrics::{Histogram, Series, Summary};
 pub use prof::{ProfEntry, ProfTimer, Profiler};
-pub use queue::{EventQueue, QueueStats, ScheduleOracle};
+pub use queue::{EventQueue, QueueStats};
 pub use registry::MetricsRegistry;
 pub use rng::SimRng;
 pub use sink::{FullSink, RingSink, StreamSink, TraceSink};
 pub use span::{SpanForest, SpanId, SpanRecord, SpanTracker};
-pub use spsc::SpscRing;
 pub use time::{Duration, SimTime};
 pub use trace::{
     parse_rendered, parse_stats_comment, Topic, TraceEvent, TraceFileStats, TraceRecorder,

@@ -65,21 +65,6 @@ pub struct QueueStats {
     pub depth: usize,
 }
 
-/// Pluggable tie-break policy for same-time events.
-///
-/// The default `(time, seq)` order dispatches equal-time events FIFO; an
-/// oracle replaces *only* that tie-break — time order itself is never
-/// negotiable. [`EventQueue::pop_with_oracle`] hands the oracle the full
-/// equal-time batch in FIFO order and dispatches the entry at the returned
-/// index, so index `0` is always the schedule the plain kernel would have
-/// run. Model checkers enumerate the other indices.
-pub trait ScheduleOracle<E> {
-    /// Pick which of the equal-time `batch` entries (FIFO order, each with
-    /// its insertion sequence number) dispatches next. Out-of-range
-    /// returns are clamped to the last entry.
-    fn choose(&mut self, at: SimTime, batch: &[(u64, E)]) -> usize;
-}
-
 enum Heap<E> {
     /// Events carried inline in the heap entries.
     Inline(BinaryHeap<Entry<E>>),
@@ -262,29 +247,6 @@ impl<E> EventQueue<E> {
         self.depth += 1;
     }
 
-    /// Remove the next event, letting `oracle` pick among same-time ties.
-    ///
-    /// Singleton instants skip the oracle entirely, so installing one only
-    /// perturbs executions where a genuine scheduling choice exists. The
-    /// chosen index is clamped; returning `0` reproduces the default
-    /// `(time, seq)` FIFO tie-break exactly.
-    pub fn pop_with_oracle(&mut self, oracle: &mut dyn ScheduleOracle<E>) -> Option<(SimTime, E)> {
-        let (at, mut batch) = self.pop_front_batch()?;
-        let idx = if batch.len() == 1 {
-            0
-        } else {
-            oracle.choose(at, &batch).min(batch.len() - 1)
-        };
-        // `pop_front_batch` counted the whole batch as dispatched and each
-        // requeue undoes one share, so the chosen event's accounting is
-        // already exact here.
-        let (_, chosen) = batch.swap_remove(idx);
-        for (seq, event) in batch {
-            self.requeue(at, seq, event);
-        }
-        Some((at, chosen))
-    }
-
     /// Visit every pending event in unspecified order. Intended for
     /// order-independent accounting such as state fingerprinting; nothing
     /// about iteration order is stable.
@@ -405,76 +367,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(9), "z")));
         assert_eq!(q.scheduled_total(), 4);
         assert_eq!(q.popped_total(), 4);
-    }
-
-    #[test]
-    fn oracle_index_zero_matches_fifo() {
-        struct Fifo;
-        impl<E> ScheduleOracle<E> for Fifo {
-            fn choose(&mut self, _at: SimTime, _batch: &[(u64, E)]) -> usize {
-                0
-            }
-        }
-        let mut plain = EventQueue::new();
-        let mut guided = EventQueue::new();
-        for (t, v) in [(5, 'a'), (5, 'b'), (3, 'x'), (5, 'c'), (3, 'y')] {
-            plain.push(SimTime(t), v);
-            guided.push(SimTime(t), v);
-        }
-        loop {
-            let a = plain.pop();
-            let b = guided.pop_with_oracle(&mut Fifo);
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(plain.stats(), guided.stats());
-    }
-
-    #[test]
-    fn oracle_can_flip_a_tie() {
-        struct Last;
-        impl<E> ScheduleOracle<E> for Last {
-            fn choose(&mut self, _at: SimTime, batch: &[(u64, E)]) -> usize {
-                batch.len() - 1
-            }
-        }
-        let mut q = EventQueue::new();
-        q.push(SimTime(5), "a");
-        q.push(SimTime(5), "b");
-        assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "b")));
-        // The remainder still pops FIFO.
-        assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "a")));
-        assert_eq!(q.pop_with_oracle(&mut Last), None);
-    }
-
-    #[test]
-    fn oracle_requeue_keeps_fifo_after_middle_pick() {
-        // Picking from the middle of a 4-wide tie must leave the other
-        // three popping in their original FIFO order, although
-        // `swap_remove` hands them back out of order.
-        struct Pick(usize);
-        impl<E> ScheduleOracle<E> for Pick {
-            fn choose(&mut self, _at: SimTime, _batch: &[(u64, E)]) -> usize {
-                let i = self.0;
-                self.0 = 0;
-                i
-            }
-        }
-        let mut q = EventQueue::new();
-        for v in ["a", "b", "c", "d"] {
-            q.push(SimTime(5), v);
-        }
-        q.push(SimTime(9), "z");
-        let mut oracle = Pick(1);
-        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "b")));
-        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "a")));
-        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "c")));
-        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "d")));
-        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(9), "z")));
-        assert_eq!(q.stats().dispatched, 5);
-        assert_eq!(q.stats().depth, 0);
     }
 
     #[test]
@@ -645,21 +537,11 @@ mod randomized {
         }
     }
 
-    /// Oracle picking index `r % batch.len()`, remembering the pick.
-    struct Pick(usize, Option<usize>);
-
-    impl<E> ScheduleOracle<E> for Pick {
-        fn choose(&mut self, _at: SimTime, batch: &[(u64, E)]) -> usize {
-            let i = self.0 % batch.len();
-            self.1 = Some(i);
-            i
-        }
-    }
-
     /// Drive the queue and the model through the same random stream of
-    /// `push`, `push_seq` with machine-affine keys, `pop`, oracle pops
-    /// and `pop_front_batch` + shuffled `requeue`, checking every popped
-    /// event, every peeked key and the counters along the way.
+    /// `push`, `push_seq` with machine-affine keys, `pop`, and
+    /// `pop_front_batch` + shuffled `requeue` (what `World`'s schedule
+    /// oracle does), checking every popped event, every peeked key and
+    /// the counters along the way.
     fn matches_sorted_vec_model<P: PartialEq + Debug>(payload: impl Fn(u64) -> P) {
         let mut rng = SimRng::seeded(0x0505);
         for round in 0..48 {
@@ -706,20 +588,6 @@ mod randomized {
                     5..=6 => {
                         let want = model.pop();
                         assert_eq!(q.pop(), want.map(|(t, _, id)| (t, payload(id))));
-                        now = want.map_or(now, |(t, _, _)| t.0);
-                    }
-                    7 => {
-                        let mut oracle = Pick(rng.index(64), None);
-                        let got = q.pop_with_oracle(&mut oracle);
-                        let want = match oracle.1 {
-                            None => model.pop(),
-                            Some(i) => {
-                                model.stats.depth -= 1;
-                                model.stats.dispatched += 1;
-                                Some(model.pending.remove(i))
-                            }
-                        };
-                        assert_eq!(got, want.map(|(t, _, id)| (t, payload(id))));
                         now = want.map_or(now, |(t, _, _)| t.0);
                     }
                     _ => {

@@ -119,10 +119,11 @@ impl CostModel {
     /// lane could still arrive inside it. Same-machine traffic (local
     /// latency, even zero-latency kernel completions) never crosses a
     /// lane, so only `lan_latency` bounds the window. Floored at one
-    /// microsecond — with a zero-cost model every instant would be its
-    /// own window, which is correct but degenerate; the kernel falls back
-    /// to coordinator-serial dispatch when `lan_latency` is below this
-    /// floor (see `DESIGN.md` §17).
+    /// microsecond so every window makes progress; a model whose
+    /// `lan_latency` is below the floor (or whose `rsh_connect` is below
+    /// the lookahead) cannot bound a window, and
+    /// [`WorldBuilder::build`](crate::WorldBuilder::build) keeps its world
+    /// on one lane (see `DESIGN.md` §14.2).
     pub fn lookahead(&self) -> Duration {
         self.lan_latency.max(Duration::from_micros(1))
     }

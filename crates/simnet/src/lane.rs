@@ -231,8 +231,8 @@ pub(crate) struct RshOp {
 /// The immutable (or coordinator-written) remainder of the world, shared
 /// read-only by every lane. Everything here is either set once at build
 /// time or — for the machine-liveness mirror — written only by the
-/// coordinator between dispatches, which both execution modes order
-/// identically.
+/// coordinator between windows, where every lane and thread count orders
+/// it identically.
 pub(crate) struct SharedCore {
     pub cost: CostModel,
     pub shards: usize,
@@ -318,28 +318,25 @@ impl MachineKernel {
     }
 }
 
-/// One dispatch replayed to the coordinator from a threaded window: when
+/// One logged dispatch, replayed by the coordinator at the barrier: when
 /// it ran, under which key, how many events it pushed, the trace events
 /// it staged, and (when happens-before tracing is on) its footprint. The
 /// coordinator applies records in merged `(time, key)` order, which makes
 /// every world-side observable — canonical trace, `QueueStats` mirror,
-/// synchronizer counters — byte-identical to coordinator-serial dispatch.
+/// synchronizer counters — the same whatever the lane count.
 pub(crate) struct DispatchRecord {
     pub at: SimTime,
     pub key: u64,
     pub pushes: u32,
     pub traces: Vec<TraceEvent>,
-    pub hb: Option<HbInfo>,
+    pub hb: Option<Box<HbInfo>>,
 }
 
 /// Pre-dispatch footprint captured for a `shard.ev` happens-before record.
 pub(crate) struct HbInfo {
     /// `(origin, dispatch_idx)` this dispatch ran as.
     pub did: (u64, u64),
-    pub kind: EventKind,
-    pub proc: Option<ProcId>,
-    pub other: Option<ProcId>,
-    pub machine: Option<MachineId>,
+    pub info: EventInfo,
 }
 
 /// A lane: the machines it owns plus its slice of the event queue and
@@ -370,10 +367,10 @@ pub(crate) struct Lane {
     /// `World::profiler` merges the per-lane profiles on demand.
     pub prof: Option<Box<Profiler>>,
     /// Cross-lane pushes made during dispatch: `(dest lane, at, key, ev)`,
-    /// forwarded by the coordinator after the dispatch (serial) or at the
-    /// window barrier (threaded).
+    /// forwarded by the coordinator at the barrier.
     pub outbox: Vec<(usize, SimTime, u64, Event)>,
-    /// Threaded-window dispatch log, drained by the coordinator's merge.
+    /// Dispatch log of the running window, replayed and cleared by the
+    /// coordinator at the barrier (its capacity is kept).
     pub log: Vec<DispatchRecord>,
     /// Local index of the machine whose dispatch is running (whose key
     /// stream pushes draw from).
@@ -382,7 +379,7 @@ pub(crate) struct Lane {
     pub pushed: u32,
     /// Host wall time this lane spent dispatching (profiled runs only).
     pub wall_ns: u64,
-    /// Record happens-before footprints into the window log.
+    /// Record happens-before footprints into the dispatch log.
     pub hb: bool,
 }
 
@@ -553,26 +550,25 @@ impl Lane {
     // Dispatch
     // ------------------------------------------------------------------
 
-    /// Dispatch one event that belongs to this lane. Returns the
-    /// `(origin, dispatch_idx)` identity the dispatch ran as (consumed by
-    /// happens-before records). Machine-less events (deliveries to the
+    /// Dispatch one event that belongs to this lane and log it for the
+    /// coordinator's replay. Machine-less events (deliveries to the
     /// harness pseudo-process) run as machine 0, which lane 0 owns.
-    pub(crate) fn dispatch_one(
+    pub(crate) fn dispatch_logged(
         &mut self,
         shared: &SharedCore,
         at: SimTime,
+        key: u64,
         ev: Event,
-    ) -> (u64, u64) {
+    ) {
+        let info = self.hb.then(|| self.event_info(&ev));
         self.now = at;
         self.pushed = 0;
         let m = ev.machine().unwrap_or(MachineId(0));
         let local = self.local_of(m);
         self.cur = local;
-        self.mkern[local].keys.begin_dispatch();
-        let did = (
-            self.mkern[local].keys.origin(),
-            self.mkern[local].keys.dispatch_idx(),
-        );
+        let keys = &mut self.mkern[local].keys;
+        keys.begin_dispatch();
+        let did = (keys.origin(), keys.dispatch_idx());
         let t0 = (self.prof.is_some() && self.shards > 1).then(ProfTimer::start);
         self.handle(shared, ev);
         if let Some(t0) = t0 {
@@ -583,37 +579,24 @@ impl Lane {
                 prof.record_lane(idx, ns);
             }
         }
-        did
+        let traces = self.trace.take_events();
+        self.log.push(DispatchRecord {
+            at,
+            key,
+            pushes: self.pushed,
+            traces,
+            hb: info.map(|info| Box::new(HbInfo { did, info })),
+        });
     }
 
-    /// Threaded-window body: dispatch every pending event strictly before
-    /// `end`, logging one [`DispatchRecord`] per dispatch for the
-    /// coordinator's deterministic merge. Conservative synchronization
-    /// guarantees no cross-lane event with time `< end` can appear while
-    /// the window runs, so the lane needs nothing from anyone else.
-    pub(crate) fn run_window(&mut self, shared: &SharedCore, end: SimTime) {
-        while let Some((t, key)) = self.queue.peek_key() {
-            if t >= end {
-                break;
-            }
+    /// A window's body: dispatch every pending event whose `(time, key)`
+    /// lies before `end`. Conservative synchronization guarantees no
+    /// cross-lane event inside the window can appear while it runs, so the
+    /// lane needs nothing from anyone else.
+    pub(crate) fn run_window(&mut self, shared: &SharedCore, end: (SimTime, u64)) {
+        while let Some(head) = self.queue.peek_key().filter(|&head| head < end) {
             let (at, ev) = self.queue.pop().expect("peeked head");
-            let hb_pre = self.hb.then(|| self.event_info(&ev));
-            let did = self.dispatch_one(shared, at, ev);
-            let traces = self.trace.take_events();
-            let hb = hb_pre.map(|info| HbInfo {
-                did,
-                kind: info.kind,
-                proc: info.proc,
-                other: info.other,
-                machine: info.machine,
-            });
-            self.log.push(DispatchRecord {
-                at,
-                key,
-                pushes: self.pushed,
-                traces,
-                hb,
-            });
+            self.dispatch_logged(shared, at, head.1, ev);
         }
     }
 

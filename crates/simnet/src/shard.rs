@@ -7,13 +7,13 @@
 //! [`CostModel::lookahead`](crate::cost::CostModel::lookahead) of
 //! latency — no lane can schedule an event inside another lane's current
 //! window. At the barrier the coordinator merges the lanes' dispatch logs
-//! back into the canonical `(time, key)` order, which is what makes a
-//! threaded run byte-identical to the serial kernel (`DESIGN.md` §17).
+//! back into the canonical `(time, key)` order, which is what makes every
+//! lane and thread count byte-identical to one lane (`DESIGN.md` §17).
 //!
-//! This module holds the bookkeeping shared by both execution modes — the
-//! window cursor and the per-lane dispatch/barrier counters published as
-//! [`ShardStats`] — not the dispatch machinery itself, which lives in
-//! `crate::lane` (lane-owned state) and `crate::world` (the coordinator).
+//! This module holds the window bookkeeping — the window cursor and the
+//! per-lane dispatch/barrier counters published as [`ShardStats`] — not
+//! the dispatch machinery itself, which lives in `crate::lane` (lane-owned
+//! state) and `crate::world` (the window loop and the barrier).
 
 use rb_simcore::{Duration, SimTime};
 
@@ -51,12 +51,14 @@ pub struct ShardStats {
     pub stall_hist: [u64; STALL_BUCKETS],
 }
 
-/// Window cursor + per-lane accounting. Both execution modes drive it
-/// identically — one `open_window` per window, one `note_dispatch` per
-/// dispatched event, in the canonical merged order — so its counters are
-/// mode-independent except for the window structure itself (the threaded
-/// coordinator clamps windows at harness events, metrics samples, and the
-/// run limit; the serial coordinator does not).
+/// Window cursor + per-lane accounting: one `open_window` per window, one
+/// `note_dispatch` per dispatched event, in the canonical merged order.
+/// The window loop opens a window per lane window, clamped at harness
+/// closures, metrics samples and the run limit; a single-event `step`
+/// opens a one-lookahead window at its event once the previous window
+/// has ended. Dispatch counts are the same either way; the window
+/// structure, and so `windows`, `barrier_waits` and the stall histogram,
+/// is not.
 pub(crate) struct Synchronizer {
     shards: usize,
     windows: u64,

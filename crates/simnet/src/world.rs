@@ -1,26 +1,32 @@
 //! The simulation world: the lane coordinator, harness API, and the
-//! byte-identity machinery between serial and threaded execution.
+//! byte-identity machinery between one-lane and many-lane execution.
 //!
 //! [`World`] owns a set of [`Lane`]s (machine-affine `Send` execution
 //! units, see `crate::lane`) plus everything only the coordinator touches:
-//! the harness event queue and key stream, the canonical trace recorder,
-//! the metrics registry, the queue-stats mirror, and the conservative
-//! synchronizer. Two execution modes drive the same lanes:
+//! the harness queue and key stream, the canonical trace recorder, the
+//! metrics registry, the queue-stats mirror, and the conservative
+//! synchronizer. Two paths drive the lanes, and both replay every lane
+//! dispatch the same way:
 //!
-//! * **coordinator-serial** — `step`/`step_instant` pop the globally
-//!   minimal `(time, key)` event across all lane queues and dispatch it
-//!   inline; this is the mode oracles and model checking run in;
-//! * **threaded** — `run_until`/`run_for`/`run_until_idle` on a world
-//!   built with [`WorldBuilder::threads`]`(n > 1)` farm whole lanes out
-//!   to a worker pool per conservative window and merge the per-lane
-//!   dispatch logs back into the canonical order at each barrier.
+//! * **the window loop** — `run_until`/`run_for`/`run_until_idle` run
+//!   conservative windows: every lane with work dispatches its events up
+//!   to the window end (inline on the coordinator with one thread or one
+//!   busy lane, on a worker pool otherwise), logging each dispatch, and
+//!   the barrier replays the merged logs in canonical `(time, key)` order
+//!   against the world-side observers. Harness closures close over
+//!   `&mut World`, so they run between windows, one at a time;
+//! * **single events** — `step` (and so `run_until_pred` and schedule
+//!   oracles) dispatches the globally minimal event on its own, through
+//!   the same logged lane dispatch and replay as a window.
 //!
-//! Both modes produce byte-identical traces and [`QueueStats`] — the
-//! determinism contract `DESIGN.md` §17 spells out and the
-//! `scheduler_equiv` suite enforces.
+//! Both paths and every lane or thread count produce byte-identical
+//! traces and [`QueueStats`] — the determinism contract `DESIGN.md` §17
+//! spells out and the `scheduler_equiv` suite enforces.
 
 use crate::cost::CostModel;
-use crate::lane::{debug_hash, DispatchRecord, Event, Lane, MachineKernel, SharedCore};
+use crate::lane::{
+    debug_hash, DispatchRecord, Event, HarnessFn, HbInfo, Lane, MachineKernel, SharedCore,
+};
 use crate::machine::MachineState;
 use crate::process::{Behavior, ProcEnv, ProcState, RshBinding};
 use crate::shard::{ShardStats, Synchronizer};
@@ -161,22 +167,21 @@ impl WorldBuilder {
 
     /// Partition the machines across `n` lanes under the conservative
     /// time-window synchronizer (see `crate::shard`). `1` (the default)
-    /// is the plain serial kernel; any other value is clamped to the
-    /// machine count at build time. Every shard count replays
-    /// byte-identically to the serial kernel — sharding changes which
-    /// lane an event waits in, never the `(time, key)` dispatch order.
+    /// is one lane; other values are clamped to the machine count at
+    /// build time, and a cost model that cannot bound a window (see
+    /// [`WorldBuilder::build`]) keeps one lane whatever `n` is. Every lane
+    /// count replays byte-identically — lanes change which queue an event
+    /// waits in, never the `(time, key)` dispatch order.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
     }
 
-    /// Dispatch windows on up to `n` worker threads (default 1: the
-    /// coordinator dispatches every lane inline). Takes effect only on a
-    /// sharded world (`shards > 1`) whose cost model has enough
-    /// cross-machine latency for conservative windows (`lan_latency` at
-    /// least 1µs); otherwise runs fall back to the coordinator, which is
-    /// always byte-identical anyway. Thread count never affects results —
-    /// only wall-clock time.
+    /// Run windows on up to `n` worker threads (default 1: the
+    /// coordinator runs every lane's window inline). Windows where only
+    /// one lane has work run inline whatever `n` is, so threads only
+    /// matter on a world with several lanes. Thread count never affects
+    /// results — only wall-clock time.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -217,18 +222,29 @@ impl WorldBuilder {
     /// stream with `machine_id % shards` instead of `machine_id`, so
     /// machines sharing a lane mint colliding keys. A world built this
     /// way violates the per-origin key-uniqueness invariant the
-    /// determinism contract rests on — the `scheduler_equiv` suite uses
-    /// it to prove serial-vs-sharded divergence is actually caught.
+    /// determinism contract rests on — the `rbrace hb` acceptance tests
+    /// use it to prove the reused dispatch identities are caught.
     #[doc(hidden)]
     pub fn sabotage_shared_lane_keys(mut self, on: bool) -> Self {
         self.sabotage_lane_keys = on;
         self
     }
 
-    /// Construct the world.
+    /// Construct the world. A window must not be wider than the shortest
+    /// cross-lane hop: every cross-machine push carries at least
+    /// `lan_latency`, except the first hop of a standard `rsh`, which
+    /// carries `rsh_connect`. A cost model with `lan_latency` under 1µs or
+    /// `rsh_connect` under [`CostModel::lookahead`] cannot bound one, so
+    /// its world keeps one lane.
     pub fn build(self) -> World {
         assert!(!self.machines.is_empty(), "a world needs machines");
-        let shards = self.shards.clamp(1, self.machines.len());
+        let bounded = self.cost.lan_latency >= Duration::from_micros(1)
+            && self.cost.rsh_connect >= self.cost.lookahead();
+        let shards = if bounded {
+            self.shards.clamp(1, self.machines.len())
+        } else {
+            1
+        };
         let mut hosts: Vec<(Box<str>, MachineId)> = self
             .machines
             .iter()
@@ -313,6 +329,7 @@ impl WorldBuilder {
             syn: (shards > 1).then(|| Synchronizer::new(shards, self.metrics_interval.is_some())),
             threads: self.threads.max(1),
             pool: None,
+            active: Vec::with_capacity(shards),
             trace: match (self.trace, self.trace_stream, self.trace_ring) {
                 (true, Some((out, cap)), _) => TraceRecorder::streaming(out, cap),
                 (true, None, Some(cap)) => TraceRecorder::ring(cap),
@@ -350,21 +367,22 @@ struct MetricsState {
 }
 
 /// One unit of work shipped to a lane worker: the lane itself (by value —
-/// explicit ownership handoff), its index, and the window to run.
+/// explicit ownership handoff), its index, and the window end to run to.
 struct Job {
     lane: Lane,
     idx: usize,
-    end: SimTime,
+    end: (SimTime, u64),
     shared: Arc<SharedCore>,
 }
 
 /// The lane worker pool: one channel per worker (lane→worker assignment
 /// is static, `lane % workers`, so a lane's cache state tends to stay on
 /// one core), one shared result channel back to the coordinator. A
-/// worker sends back its lane, or the panic that ended the lane's window.
+/// worker always sends its lane back, with the panic that ended the
+/// lane's window if one did.
 struct Pool {
     txs: Vec<mpsc::Sender<Job>>,
-    rx: mpsc::Receiver<(usize, std::thread::Result<Lane>)>,
+    rx: mpsc::Receiver<(usize, Lane, Result<(), LanePanic>)>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -382,7 +400,7 @@ impl Pool {
                     .spawn(move || {
                         while let Ok(mut job) = job_rx.recv() {
                             let ran = run_window_caught(&mut job.lane, &job.shared, job.end);
-                            if res.send((job.idx, ran.map(|()| job.lane))).is_err() {
+                            if res.send((job.idx, job.lane, ran)).is_err() {
                                 break;
                             }
                         }
@@ -395,27 +413,29 @@ impl Pool {
     }
 }
 
+/// A behavior panic caught in a lane's window, with the dispatch it
+/// struck: the lane's clock and the machine whose event was running.
+struct LanePanic {
+    at: SimTime,
+    machine: MachineId,
+    payload: Box<dyn std::any::Any + Send>,
+}
+
 /// Run one lane's window, catching a behavior panic so the coordinator
 /// can report it instead of waiting forever for the lane to come back.
 fn run_window_caught(
     lane: &mut Lane,
     shared: &SharedCore,
-    end: SimTime,
-) -> std::thread::Result<()> {
+    end: (SimTime, u64),
+) -> Result<(), LanePanic> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         lane.run_window(shared, end)
     }))
-}
-
-/// Re-raise a panic caught in a lane's window on the coordinator, naming
-/// the lane and the window it was running.
-fn lane_panicked(lane: usize, end: SimTime, payload: Box<dyn std::any::Any + Send>) -> ! {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload");
-    panic!("lane {lane} panicked in the window ending at {end}: {msg}");
+    .map_err(|payload| LanePanic {
+        at: lane.now,
+        machine: lane.mkern[lane.cur].id,
+        payload,
+    })
 }
 
 impl Drop for Pool {
@@ -432,11 +452,9 @@ pub struct World {
     pub(crate) now: SimTime,
     pub(crate) shared: Arc<SharedCore>,
     pub(crate) lanes: Vec<Lane>,
-    /// Scripted harness actions on a multi-lane world (they close over
-    /// `&mut World`, so only the coordinator may run them — keeping them
-    /// out of lane queues lets whole windows thread without checking).
-    /// On a single-lane world harness events stay in the lane queue so
-    /// oracle batches see them.
+    /// Scripted harness actions. They close over `&mut World`, so only
+    /// the coordinator may run them, between windows; keeping them out of
+    /// lane queues lets every lane run its window without checking.
     harness_q: EventQueue<Event>,
     /// Origin-0 key stream for events pushed from harness context.
     harness_keys: KeyStream,
@@ -444,14 +462,17 @@ pub struct World {
     /// owning machine's tagged allocator).
     harness_spans: SpanTracker,
     /// Mirror of the global queue counters, maintained in canonical
-    /// dispatch order — identical across serial, coordinator-sharded and
-    /// threaded execution, which per-queue counters would not be.
+    /// dispatch order — identical at every lane and thread count, which
+    /// per-queue counters would not be.
     stats: QueueStats,
     /// Window cursor + per-lane accounting; `Some` iff `shards > 1`.
     syn: Option<Synchronizer>,
-    /// Worker-thread budget for windowed dispatch (1 = coordinator only).
+    /// Worker-thread budget for windows (1 = the coordinator runs every
+    /// lane inline).
     threads: usize,
     pool: Option<Pool>,
+    /// Lanes with work in the running window (reused across windows).
+    active: Vec<usize>,
     pub(crate) trace: TraceRecorder,
     prof_enabled: bool,
     metrics: Option<MetricsState>,
@@ -541,18 +562,19 @@ impl World {
         self.stats
     }
 
-    /// How many event lanes the kernel runs (1 = serial).
+    /// How many event lanes the kernel runs.
     pub fn shard_count(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Worker-thread budget for windowed dispatch (1 = coordinator only).
+    /// Worker-thread budget for windows (1 = the coordinator runs every
+    /// lane inline).
     pub fn thread_count(&self) -> usize {
         self.threads
     }
 
-    /// Synchronizer statistics of the sharded kernel: windows, lookahead,
-    /// per-lane dispatch/barrier/wall counters. `None` when serial.
+    /// Synchronizer statistics of a multi-lane kernel: windows, lookahead,
+    /// per-lane dispatch/barrier/wall counters. `None` with one lane.
     pub fn shard_stats(&self) -> Option<ShardStats> {
         let syn = self.syn.as_ref()?;
         Some(syn.stats(self.shared.cost.lookahead(), |i| self.lanes[i].wall_ns))
@@ -662,12 +684,11 @@ impl World {
         self.trace.finish_stream(&stats);
     }
 
-    /// Sample gauges once the virtual-time cursor is due, at `at`. When
-    /// `head_pending` the head event of the upcoming window has not been
-    /// popped yet (threaded window-open sampling); adjust the queue
-    /// counters so the snapshot matches what coordinator-serial execution
-    /// — which samples right after popping that event — would report.
-    fn sample_metrics_at(&mut self, at: SimTime, head_pending: bool) {
+    /// Sample gauges once the virtual-time cursor is due, at `at`, the
+    /// time of the next event to dispatch. The snapshot counts that event
+    /// as popped, so every gauge reads as of the first dispatch at or
+    /// past the sample point, however windows fall.
+    fn sample_metrics_at(&mut self, at: SimTime) {
         let due = match self.metrics.as_ref() {
             Some(m) => at >= m.next_at,
             None => return,
@@ -676,10 +697,8 @@ impl World {
             return;
         }
         let mut stats = self.stats;
-        if head_pending {
-            stats.dispatched += 1;
-            stats.depth -= 1;
-        }
+        stats.dispatched += 1;
+        stats.depth -= 1;
         let mut per_machine = vec![0u32; self.shared.attrs.len()];
         let mut alive = 0u32;
         for lane in &self.lanes {
@@ -748,7 +767,9 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Install a schedule oracle; subsequent [`World::step`]s route every
-    /// same-time tie through it instead of the key-order default.
+    /// same-time tie through it instead of the key-order default, and the
+    /// `run_until*` calls step one event at a time instead of running
+    /// windows.
     ///
     /// Oracles reorder same-time batches and requeue the rest, which only
     /// the single-lane kernel supports — model checking explores
@@ -1051,7 +1072,7 @@ impl World {
     fn push_harness_event(&mut self, at: SimTime, ev: Event) {
         let key = self.harness_keys.next_key().0;
         self.note_pushes(1);
-        if matches!(ev, Event::Harness(_)) && self.lanes.len() > 1 {
+        if matches!(ev, Event::Harness(_)) {
             self.harness_q.push_seq(at, key, ev);
         } else {
             let li = self.shared.lane_of(ev.machine().unwrap_or(MachineId(0)));
@@ -1210,7 +1231,7 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Run loop: coordinator
+    // Run loop
     // ------------------------------------------------------------------
 
     /// Earliest pending `(source, time, key)` across all lane queues and
@@ -1248,7 +1269,11 @@ impl World {
         Some((at, k, ev))
     }
 
-    /// Dispatch one event. Returns `false` if the queues are empty.
+    /// Dispatch one event — the globally minimal one, or the oracle's
+    /// pick among the earliest instant's batch. Returns `false` if the
+    /// queues are empty. A harness closure runs on the coordinator; a
+    /// lane event goes through its lane's logged dispatch and the same
+    /// replay, outbox hand-over and metrics fold as a window's barrier.
     pub fn step(&mut self) -> bool {
         let popped = if self.oracle.is_some() {
             self.pop_with_oracle()
@@ -1259,78 +1284,48 @@ impl World {
             return false;
         };
         debug_assert!(at >= self.now, "event queue went backwards");
-        self.note_pop();
-        self.now = at;
-        self.sample_metrics_at(at, false);
-        self.dispatch_coordinator(at, key, ev);
-        true
-    }
-
-    /// Dispatch every event of the next pending instant — the same-time
-    /// batch the kernel would pop one by one — as one run, popping newly
-    /// scheduled same-instant events too. One pop-order check and one
-    /// metrics probe cover the whole instant; dispatch order (and so
-    /// every observable) is identical to per-event stepping. Returns
-    /// `false` if the queues are empty.
-    pub fn step_instant(&mut self) -> bool {
-        if self.oracle.is_some() {
-            // Oracles reorder within an instant; defer to per-event steps.
-            return self.step();
-        }
-        if !self.step() {
-            return false;
-        }
-        let at = self.now;
-        while self.peek_time() == Some(at) {
-            let (_, key, ev) = self.pop_min().expect("head peeked at `at`");
-            self.note_pop();
-            self.dispatch_coordinator(at, key, ev);
-        }
-        true
-    }
-
-    /// Dispatch one popped event inline: synchronizer bookkeeping, the
-    /// handler itself (on its owning lane, or `self` for harness
-    /// closures), then the barrier work a one-event window needs — stats,
-    /// happens-before records, trace absorption, outbox, metrics.
-    fn dispatch_coordinator(&mut self, at: SimTime, key: u64, ev: Event) {
-        let is_harness = matches!(ev, Event::Harness(_));
-        let li = if is_harness {
-            0
-        } else {
-            self.shared.lane_of(ev.machine().unwrap_or(MachineId(0)))
-        };
+        self.sample_metrics_at(at);
         if let Some(syn) = self.syn.as_mut() {
             if at >= syn.window_end() {
-                let end = at + self.shared.cost.lookahead();
-                syn.open_window(at, end);
+                syn.open_window(at, at + self.shared.cost.lookahead());
             }
-            syn.note_dispatch(li);
         }
-        let hb_info = self.hb_trace.then(|| self.lanes[li].event_info(&ev));
         match ev {
-            Event::Harness(f) => {
-                self.harness_keys.begin_dispatch();
-                let did = (self.harness_keys.origin(), self.harness_keys.dispatch_idx());
-                if let Some(info) = hb_info {
-                    self.emit_hb(key, 0, did, &info);
-                }
-                f(self);
-            }
+            Event::Harness(f) => self.dispatch_harness(at, key, f),
             ev => {
-                let shared = self.shared.clone();
-                let lane = &mut self.lanes[li];
-                let did = lane.dispatch_one(&shared, at, ev);
-                let pushed = lane.pushed;
-                self.note_pushes(pushed);
-                if let Some(info) = hb_info {
-                    self.emit_hb(key, li, did, &info);
-                }
-                self.trace.absorb(&mut self.lanes[li].trace);
+                let li = self.shared.lane_of(ev.machine().unwrap_or(MachineId(0)));
+                self.lanes[li].dispatch_logged(&self.shared, at, key, ev);
+                let mut rec = self.lanes[li].log.pop().expect("just logged");
+                self.replay(li, &mut rec);
                 self.drain_outbox(li);
                 self.merge_lane_metrics(li);
             }
         }
+        true
+    }
+
+    /// Run a harness closure on the coordinator, between windows.
+    fn dispatch_harness(&mut self, at: SimTime, key: u64, f: HarnessFn) {
+        self.note_pop();
+        self.now = at;
+        if let Some(syn) = self.syn.as_mut() {
+            syn.note_dispatch(0);
+        }
+        self.harness_keys.begin_dispatch();
+        if self.hb_trace {
+            let hb = HbInfo {
+                did: (self.harness_keys.origin(), self.harness_keys.dispatch_idx()),
+                info: EventInfo {
+                    kind: EventKind::Harness,
+                    proc: None,
+                    other: None,
+                    machine: None,
+                    payload_hash: 0,
+                },
+            };
+            self.emit_hb(key, 0, &hb);
+        }
+        f(self);
     }
 
     /// Emit the happens-before records for one dispatch: a `shard.window`
@@ -1340,13 +1335,13 @@ impl World {
     /// origin/dispatch that pushed it), and kernel footprint. Records go
     /// to the canonical recorder ahead of the handler's own staged
     /// records, so they land in dispatch order.
-    fn emit_hb(&mut self, key: u64, lane: usize, did: (u64, u64), info: &EventInfo) {
+    fn emit_hb(&mut self, key: u64, lane: usize, hb: &HbInfo) {
         let Some(syn) = self.syn.as_ref() else { return };
-        if syn.windows() != self.hb_last_window {
-            self.hb_last_window = syn.windows();
+        let w = syn.windows();
+        if w != self.hb_last_window {
+            self.hb_last_window = w;
             let detail = format!(
-                "w{} end={}us la={}us",
-                syn.windows(),
+                "w{w} end={}us la={}us",
                 syn.window_end().as_micros(),
                 self.shared.cost.lookahead().as_micros()
             );
@@ -1359,12 +1354,12 @@ impl World {
             format!("{}/{}", k.origin(), k.dispatch_idx())
         };
         let dash = || "-".to_string();
-        let w = self.syn.as_ref().expect("checked above").windows();
+        let info = &hb.info;
         let detail = format!(
             "ev={} did={}/{} lane={} w={} cause={} k={:?} p={} o={} m={}",
             k,
-            did.0,
-            did.1,
+            hb.did.0,
+            hb.did.1,
             lane,
             w,
             cause,
@@ -1376,13 +1371,23 @@ impl World {
         self.trace.record(self.now, "shard.ev", detail);
     }
 
-    /// Oracle-guided pop: drain the earliest equal-time batch, let the
-    /// installed [`WorldOracle`] pick one entry, and put the rest back with
-    /// their original keys. Singleton batches never consult the oracle, so
-    /// guidance only costs anything where a real scheduling choice exists.
+    /// Oracle-guided pop: drain the earliest instant's batch from the
+    /// harness queue and lane 0's queue, let the installed [`WorldOracle`]
+    /// pick one entry, and put the rest back with their original keys.
+    /// Singleton batches never consult the oracle, so guidance only costs
+    /// anything where a real scheduling choice exists.
     fn pop_with_oracle(&mut self) -> Option<(SimTime, u64, Event)> {
         debug_assert_eq!(self.lanes.len(), 1, "oracles require a single lane");
-        let (at, mut batch) = self.lanes[0].queue.pop_front_batch()?;
+        let at = self.peek_time()?;
+        let mut batch = Vec::new();
+        for q in [&mut self.harness_q, &mut self.lanes[0].queue] {
+            if q.peek_time() == Some(at) {
+                batch.extend(q.pop_front_batch().expect("peeked").1);
+            }
+        }
+        // Harness closures carry origin-0 keys, which sort first; only
+        // harness-pushed lane events can interleave with them.
+        batch.sort_unstable_by_key(|&(key, _)| key);
         if batch.len() == 1 {
             let (key, ev) = batch.pop().expect("len checked");
             return Some((at, key, ev));
@@ -1400,23 +1405,19 @@ impl World {
         self.oracle = Some(oracle);
         let (key, chosen) = batch.swap_remove(idx);
         for (k, ev) in batch {
-            self.lanes[0].queue.requeue(at, k, ev);
+            let q = if matches!(ev, Event::Harness(_)) {
+                &mut self.harness_q
+            } else {
+                &mut self.lanes[0].queue
+            };
+            q.requeue(at, k, ev);
         }
         Some((at, key, chosen))
     }
 
     /// Run until virtual time reaches `t` (events at exactly `t` included).
     pub fn run_until(&mut self, t: SimTime) {
-        if self.threaded_ok() {
-            self.run_threaded(t);
-        } else {
-            while let Some(next) = self.peek_time() {
-                if next > t {
-                    break;
-                }
-                self.step_instant();
-            }
-        }
+        self.run_until_idle(t);
         if self.now < t {
             self.now = t;
         }
@@ -1430,23 +1431,55 @@ impl World {
 
     /// Run until the queue drains (only terminates for worlds without
     /// self-rearming timers) or `limit` is reached.
+    ///
+    /// This is the window loop. Each window opens at the earliest pending
+    /// lane event and ends, exclusively in `(time, key)`, one lookahead
+    /// later, clamped at the limit, the next harness closure and the next
+    /// metrics sample point. Every lane with work before the end runs its
+    /// window, then the barrier replays the logs. A harness closure due
+    /// first runs on its own through [`World::step`]. With a schedule
+    /// oracle installed the run steps instead, one event at a time.
     pub fn run_until_idle(&mut self, limit: SimTime) {
-        if self.threaded_ok() {
-            self.run_threaded(limit);
+        if self.oracle.is_some() {
+            self.run_until_pred(limit, |_| false);
             return;
         }
-        while let Some(next) = self.peek_time() {
-            if next > limit {
+        let past_limit = (SimTime(limit.0.saturating_add(1)), 0);
+        while let Some((src, head, key)) = self.peek_min() {
+            if head > limit {
                 break;
             }
-            self.step_instant();
+            if src == usize::MAX {
+                self.step();
+                continue;
+            }
+            self.sample_metrics_at(head);
+            let mut end = past_limit.min((head + self.shared.cost.lookahead(), 0));
+            if let Some(h) = self.harness_q.peek_key() {
+                end = end.min(h);
+            }
+            if let Some(m) = self.metrics.as_ref() {
+                end = end.min((m.next_at, 0));
+            }
+            debug_assert!((head, key) < end, "degenerate window");
+            if let Some(syn) = self.syn.as_mut() {
+                syn.open_window(head, end.0);
+            }
+            self.active.clear();
+            for (li, lane) in self.lanes.iter().enumerate() {
+                if lane.queue.peek_key().is_some_and(|k| k < end) {
+                    self.active.push(li);
+                }
+            }
+            self.run_lanes(end);
+            self.barrier();
         }
     }
 
     /// Run until `pred(world)` holds, checking after every event, up to
-    /// `limit`. Returns `true` if the predicate was satisfied. Always
-    /// coordinator-dispatched: the predicate must observe every state the
-    /// kernel exposes, including mid-window ones.
+    /// `limit`. Returns `true` if the predicate was satisfied. Steps one
+    /// event at a time: the predicate must observe every state the kernel
+    /// exposes, including mid-window ones.
     pub fn run_until_pred(&mut self, limit: SimTime, pred: impl Fn(&World) -> bool) -> bool {
         if pred(self) {
             return true;
@@ -1463,158 +1496,117 @@ impl World {
         false
     }
 
-    // ------------------------------------------------------------------
-    // Run loop: threaded windows
-    // ------------------------------------------------------------------
-
-    /// Whether windowed multi-thread dispatch is engaged: needs a thread
-    /// budget, multiple lanes, no oracle, and a cost model whose
-    /// cross-machine latencies actually clear the conservative window
-    /// floor (`rsh_connect` bounds the first cross-lane `RshAdvance` hop;
-    /// every other cross-lane push carries at least `lan_latency`).
-    fn threaded_ok(&self) -> bool {
-        self.threads > 1
-            && self.lanes.len() > 1
-            && self.oracle.is_none()
-            && self.shared.cost.lan_latency >= Duration::from_micros(1)
-            && self.shared.cost.rsh_connect >= self.shared.cost.lookahead()
-    }
-
-    fn ensure_pool(&mut self) {
-        if self.pool.is_none() {
-            let workers = self.threads.min(self.lanes.len()).max(1);
-            self.pool = Some(Pool::new(workers));
+    /// Run the window of every active lane up to `end`: inline on the
+    /// coordinator when one lane is active or the world has one thread,
+    /// on the worker pool otherwise. A behavior panic is re-raised here,
+    /// naming the lowest panicking lane, its dispatch and the window.
+    fn run_lanes(&mut self, end: (SimTime, u64)) {
+        if self.active.len() == 1 || self.threads == 1 {
+            for &li in &self.active {
+                if let Err(p) = run_window_caught(&mut self.lanes[li], &self.shared, end) {
+                    self.lane_panicked(li, end.0, p);
+                }
+            }
+            return;
+        }
+        let workers = self.threads.min(self.lanes.len());
+        let pool = self.pool.get_or_insert_with(|| Pool::new(workers));
+        for &li in &self.active {
+            let lane = std::mem::replace(&mut self.lanes[li], Lane::placeholder());
+            pool.txs[li % workers]
+                .send(Job {
+                    lane,
+                    idx: li,
+                    end,
+                    shared: Arc::clone(&self.shared),
+                })
+                .expect("lane worker alive");
+        }
+        // Collect every lane before re-raising, so the lowest panicking
+        // lane is the one reported.
+        let mut panicked: Option<(usize, LanePanic)> = None;
+        for _ in 0..self.active.len() {
+            let (li, lane, ran) = pool.rx.recv().expect("lane worker alive");
+            self.lanes[li] = lane;
+            if let Err(p) = ran {
+                if panicked.as_ref().is_none_or(|&(first, _)| li < first) {
+                    panicked = Some((li, p));
+                }
+            }
+        }
+        if let Some((li, p)) = panicked {
+            self.lane_panicked(li, end.0, p);
         }
     }
 
-    /// The windowed multi-thread loop: per window, farm every lane with
-    /// pending work out to the pool, then replay the merged dispatch logs
-    /// in canonical `(time, key)` order against the world-side observers.
-    /// Harness events dispatch solo between windows (they close over
-    /// `&mut World`). Windows are clamped at the run limit, the next
-    /// harness event, and the next metrics sample point.
-    fn run_threaded(&mut self, limit: SimTime) {
-        self.ensure_pool();
-        while let Some((src, head, _)) = self.peek_min() {
-            if head > limit {
-                break;
+    /// Re-raise a panic caught in a lane's window on the coordinator,
+    /// naming the lane, the dispatch's time and machine, and the window.
+    fn lane_panicked(&self, lane: usize, end: SimTime, p: LanePanic) -> ! {
+        let msg = p
+            .payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| p.payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let host = &self.shared.host_names[p.machine.0 as usize];
+        panic!(
+            "lane {lane} panicked at {} on {host} in the window ending at {end}: {msg}",
+            p.at
+        );
+    }
+
+    /// The barrier: replay the active lanes' dispatch logs against the
+    /// world-side observers in canonical `(time, key)` order — this is
+    /// where byte-identity with a one-lane run is restored — then forward
+    /// cross-lane pushes, which always land at least one lookahead past
+    /// the window, and fold staged metrics. Every window of every bulk run
+    /// ends here.
+    fn barrier(&mut self) {
+        let active = std::mem::take(&mut self.active);
+        if let [li] = active[..] {
+            let mut log = std::mem::take(&mut self.lanes[li].log);
+            for rec in &mut log {
+                self.replay(li, rec);
             }
-            if src == usize::MAX {
-                // Harness events run solo on the coordinator. Origin-0
-                // keys sort first at equal times, so no lane event is due
-                // before it.
-                let (at, key, ev) = {
-                    let (t, k) = self.harness_q.peek_key().expect("peeked");
-                    debug_assert_eq!(t, head);
-                    let (at, ev) = self.harness_q.pop().expect("peeked");
-                    (at, k, ev)
-                };
-                debug_assert!(at >= self.now);
-                self.note_pop();
-                self.now = at;
-                self.sample_metrics_at(at, false);
-                self.dispatch_coordinator(at, key, ev);
-                continue;
-            }
-            // Sample metrics at the window head if due — the clamp below
-            // guarantees serial execution would have sampled at exactly
-            // this event too.
-            self.sample_metrics_at(head, true);
-            // Window end: lookahead-bounded, clamped at the limit, the
-            // next harness event, and the next metrics sample point.
-            let mut end = head + self.shared.cost.lookahead();
-            end = end.min(SimTime(limit.0.saturating_add(1)));
-            if let Some((ht, _)) = self.harness_q.peek_key() {
-                end = end.min(ht);
-            }
-            if let Some(m) = self.metrics.as_ref() {
-                end = end.min(m.next_at);
-            }
-            debug_assert!(end > head, "degenerate window");
-            self.syn
-                .as_mut()
-                .expect("threaded implies sharded")
-                .open_window(head, end);
-            // Ship active lanes to the pool (inline when only one has
-            // work — no channel round-trip for lopsided windows).
-            let active: Vec<usize> = (0..self.lanes.len())
-                .filter(|&i| self.lanes[i].queue.peek_time().is_some_and(|t| t < end))
-                .collect();
-            let shared = self.shared.clone();
-            if active.len() == 1 {
-                let li = active[0];
-                if let Err(payload) = run_window_caught(&mut self.lanes[li], &shared, end) {
-                    lane_panicked(li, end, payload);
-                }
-            } else {
-                let pool = self.pool.as_ref().expect("ensured above");
-                let workers = pool.txs.len();
-                for &li in &active {
-                    let lane = std::mem::replace(&mut self.lanes[li], Lane::placeholder());
-                    pool.txs[li % workers]
-                        .send(Job {
-                            lane,
-                            idx: li,
-                            end,
-                            shared: shared.clone(),
-                        })
-                        .expect("lane worker alive");
-                }
-                // Collect every lane before re-raising, so the lowest
-                // panicking lane is the one reported.
-                let mut panicked = None;
-                for _ in 0..active.len() {
-                    match pool.rx.recv().expect("lane worker alive") {
-                        (idx, Ok(lane)) => self.lanes[idx] = lane,
-                        (idx, Err(payload)) => {
-                            if panicked.as_ref().is_none_or(|&(first, _)| idx < first) {
-                                panicked = Some((idx, payload));
-                            }
-                        }
-                    }
-                }
-                if let Some((idx, payload)) = panicked {
-                    lane_panicked(idx, end, payload);
-                }
-            }
-            // Replay the merged logs against the world-side observers in
-            // canonical order — this is where byte-identity is restored.
-            let mut logs: Vec<(usize, Vec<DispatchRecord>)> = active
+            log.clear();
+            self.lanes[li].log = log;
+        } else {
+            let mut logs: Vec<Vec<DispatchRecord>> = active
                 .iter()
-                .map(|&li| (li, std::mem::take(&mut self.lanes[li].log)))
+                .map(|&li| std::mem::take(&mut self.lanes[li].log))
                 .collect();
             let order = {
-                let slices: Vec<&[DispatchRecord]> =
-                    logs.iter().map(|(_, l)| l.as_slice()).collect();
+                let slices: Vec<&[DispatchRecord]> = logs.iter().map(Vec::as_slice).collect();
                 merge_dispatch_logs(&slices, |r| (r.at, DispatchKey(r.key)))
             };
             for (si, pos) in order {
-                let li = logs[si].0;
-                let rec = &mut logs[si].1[pos];
-                debug_assert!(rec.at >= self.now, "merged log went backwards");
-                self.note_pop();
-                self.now = rec.at;
-                self.syn.as_mut().expect("sharded").note_dispatch(li);
-                if let Some(hb) = rec.hb.take() {
-                    let info = EventInfo {
-                        kind: hb.kind,
-                        proc: hb.proc,
-                        other: hb.other,
-                        machine: hb.machine,
-                        payload_hash: 0,
-                    };
-                    self.emit_hb(rec.key, li, hb.did, &info);
-                }
-                self.trace.absorb_events(std::mem::take(&mut rec.traces));
-                self.note_pushes(rec.pushes);
+                self.replay(active[si], &mut logs[si][pos]);
             }
-            // Cross-lane traffic becomes visible at the barrier — always
-            // at least `lookahead` past the window, so never late.
-            for &li in &active {
-                self.drain_outbox(li);
-                self.merge_lane_metrics(li);
+            for (&li, mut log) in active.iter().zip(logs) {
+                log.clear();
+                self.lanes[li].log = log;
             }
         }
+        for &li in &active {
+            self.drain_outbox(li);
+            self.merge_lane_metrics(li);
+        }
+        self.active = active;
+    }
+
+    /// Apply one logged dispatch of lane `li` to the world-side observers.
+    fn replay(&mut self, li: usize, rec: &mut DispatchRecord) {
+        debug_assert!(rec.at >= self.now, "merged log went backwards");
+        self.note_pop();
+        self.now = rec.at;
+        if let Some(syn) = self.syn.as_mut() {
+            syn.note_dispatch(li);
+        }
+        if let Some(hb) = rec.hb.take() {
+            self.emit_hb(rec.key, li, &hb);
+        }
+        self.trace.absorb_events(std::mem::take(&mut rec.traces));
+        self.note_pushes(rec.pushes);
     }
 }
 

@@ -1,10 +1,12 @@
 //! Second batch of substrate semantics: timers, environment inheritance,
-//! service registry, detach edge cases, message-to-dead handling, and
-//! utilization accounting under churn.
+//! service registry, detach edge cases, message-to-dead handling,
+//! utilization accounting under churn, and harness ordering.
 
 use rb_proto::{CommandSpec, ExitStatus, Payload, ProcId, Signal, TimerToken};
 use rb_simcore::{Duration, SimTime};
-use rb_simnet::{BasePrograms, Behavior, Ctx, ProcEnv, RshBinding, World, WorldBuilder};
+use rb_simnet::{
+    BasePrograms, Behavior, Ctx, EventInfo, ProcEnv, RshBinding, World, WorldBuilder, WorldOracle,
+};
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -360,4 +362,56 @@ fn disk_is_per_user_and_survives_everything() {
         world.disk_on(ms[0], "alice", "state"),
         Some(&[1u8, 2, 3][..])
     );
+}
+
+// ---------------------------------------------------------------------
+// Harness ordering
+// ---------------------------------------------------------------------
+
+/// Traces its start, so a test can see where it fell in dispatch order.
+struct Starter;
+
+impl Behavior for Starter {
+    fn name(&self) -> &'static str {
+        "starter"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.trace("test.start", format_args!("{}", ctx.me()));
+    }
+}
+
+/// Always picks the first entry of a batch.
+struct First;
+
+impl WorldOracle for First {
+    fn choose(&mut self, _at: SimTime, _state: u64, _enabled: &[EventInfo]) -> usize {
+        0
+    }
+}
+
+#[test]
+fn harness_pushes_at_one_instant_dispatch_in_push_order() {
+    // The start goes to the lane's queue and the closure to the harness
+    // queue, both at t=0 under harness keys: the start was pushed first,
+    // so it dispatches first. A window must end after it, not at the
+    // closure's instant, and an oracle's batch must list it first, so
+    // index 0 is the plain order.
+    for oracle in [false, true] {
+        let (mut world, ms) = lab(1);
+        if oracle {
+            world.set_schedule_oracle(Box::new(First));
+        }
+        let m = ms[0];
+        world.spawn_user(m, Box::new(Starter), ProcEnv::user_standard("u"));
+        world.schedule(SimTime::ZERO, move |w| w.set_owner_present(m, true));
+        world.run_until(SimTime(1_000));
+        let order: Vec<&str> = world
+            .trace()
+            .events()
+            .iter()
+            .map(|e| e.topic.as_ref())
+            .filter(|&t| t == "test.start" || t == "machine.owner")
+            .collect();
+        assert_eq!(order, ["test.start", "machine.owner"], "oracle={oracle}");
+    }
 }

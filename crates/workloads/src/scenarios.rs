@@ -42,7 +42,7 @@ pub fn broker_testbed_sharded(
 }
 
 /// [`broker_testbed_sharded`] with worker threads dispatching the lanes
-/// in true parallel (threads = 1 keeps the coordinator inline; every
+/// in true parallel (threads = 1 runs every lane's window inline; every
 /// combination replays bit-identically — the threaded-equivalence tests
 /// sweep this).
 pub fn broker_testbed_threaded(

@@ -1,6 +1,8 @@
-//! A behavior that panics while its lane runs on a worker thread must fail
-//! the run at once, with the panic message, the lane and the window, and
-//! never leave the coordinator waiting for a lane that will not come back.
+//! A behavior that panics while its lane runs a window must fail the run
+//! at once, with the panic message, the lane, the dispatch and the window,
+//! whether the lane runs on a worker thread or inline on the coordinator,
+//! and never leave the coordinator waiting for a lane that will not come
+//! back.
 
 use resourcebroker::proto::TimerToken;
 use resourcebroker::simcore::{Duration, SimTime};
@@ -72,14 +74,19 @@ fn run_with_timeout(threads: usize, secs: u64) -> Option<String> {
 
 #[test]
 fn lane_panic_fails_the_run_with_lane_and_window() {
-    // On the coordinator the behavior's own panic propagates.
-    let serial = run_with_timeout(1, 30).expect("the panic must reach the caller");
-    assert!(serial.contains("ticker broke on tick 3"), "{serial}");
-    // On worker threads the coordinator re-raises it naming the lane and
-    // the window: the third tick fires at 3 ms, and the window starting
-    // there ends one 800 µs lookahead later.
-    let threaded = run_with_timeout(2, 30).expect("the panic must reach the caller");
-    for part in ["ticker broke on tick 3", "lane 1", "T+0.003800s"] {
-        assert!(threaded.contains(part), "{threaded}");
+    // Both runs re-raise the panic naming the lane, the dispatch (machine
+    // n01's third tick fires at 3 ms) and the window: the one opening at
+    // 3 ms ends one 800 µs lookahead later.
+    for threads in [1, 2] {
+        let msg = run_with_timeout(threads, 30).expect("the panic must reach the caller");
+        for part in [
+            "ticker broke on tick 3",
+            "lane 1",
+            "n01",
+            "T+0.003000s",
+            "T+0.003800s",
+        ] {
+            assert!(msg.contains(part), "threads({threads}): {msg}");
+        }
     }
 }

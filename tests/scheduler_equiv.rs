@@ -3,8 +3,10 @@
 //! sharded and threaded kernels replay byte-identically to the serial one
 //! at every shard count.
 
-use rb_broker::DefaultPolicy;
+use rb_broker::{build_cluster, ClusterOptions, DefaultPolicy};
+use rb_proto::MachineAttrs;
 use rb_simcore::{QueueStats, SimTime};
+use rb_simnet::CostModel;
 use rb_workloads::scenarios::{
     await_calypso_workers, broker_testbed_sharded, broker_testbed_streamed,
     broker_testbed_threaded, submit_endless_calypso,
@@ -292,4 +294,45 @@ fn sharded_kernel_reports_synchronizer_stats() {
     let serial = broker_testbed_sharded(4, 7, Box::new(DefaultPolicy::default()), false, 1);
     assert!(serial.world.shard_stats().is_none());
     assert_eq!(serial.world.shard_count(), 1);
+}
+
+/// A cost model that cannot bound a window keeps one lane whatever
+/// `shards` asks for: a zero-cost world built with `shards(4).threads(4)`
+/// runs on one lane and renders the `shards(1)` trace.
+#[test]
+fn zero_cost_world_keeps_one_lane() {
+    let run = |shards: usize| {
+        let mut machines = vec![MachineAttrs::private_linux("n00", "user")];
+        machines.extend((1..=4).map(|i| MachineAttrs::public_linux(format!("n{i:02}"))));
+        let mut c = build_cluster(ClusterOptions {
+            seed: 42,
+            cost: CostModel::zero(),
+            machines,
+            policy: Box::new(DefaultPolicy::default()),
+            trace: true,
+            shards,
+            threads: shards,
+            ..Default::default()
+        });
+        c.world.set_owner_present(c.machines[0], true);
+        c.settle();
+        submit_endless_calypso(&mut c, 4, 500);
+        c.world
+            .run_until(SimTime(c.world.now().as_micros() + 20_000_000));
+        let w = &c.world;
+        (
+            w.shard_count(),
+            w.trace().render(),
+            w.now(),
+            w.kernel_stats(),
+        )
+    };
+    let (lanes, trace, now, stats) = run(1);
+    assert_eq!(lanes, 1);
+    assert!(trace.lines().count() > 100, "scenario should be busy");
+    let (lanes, four_trace, four_now, four_stats) = run(4);
+    assert_eq!(lanes, 1, "a zero-cost world must keep one lane");
+    assert_eq!(trace, four_trace);
+    assert_eq!(now, four_now);
+    assert_eq!(stats, four_stats);
 }
