@@ -512,11 +512,14 @@ fn offer_validity(events: &[TraceEvent]) -> Vec<Violation> {
 /// `machine.owner` transition), and once an owner returns to a held
 /// machine, that machine must eventually leave the job (evict, freed, or
 /// job done) or the owner must leave again — the paper's "owner always
-/// wins" guarantee.
+/// wins" guarantee. A grant of a machine whose owner is present starts
+/// the same wait: the broker may grant on a stale report, but the next
+/// report must take the machine back.
 fn owner_eviction(events: &[TraceEvent]) -> Vec<Violation> {
     let mut present: BTreeMap<String, bool> = BTreeMap::new();
     let mut held = HeldSet::new();
-    // host -> index of the owner-return event that started the wait
+    // host -> index of the owner-return or grant event that started the
+    // wait
     let mut awaiting_eviction: BTreeMap<String, usize> = BTreeMap::new();
     let mut out = Vec::new();
     for (i, e) in events.iter().enumerate() {
@@ -530,6 +533,13 @@ fn owner_eviction(events: &[TraceEvent]) -> Vec<Violation> {
                         awaiting_eviction.insert(host.to_string(), i);
                     } else {
                         awaiting_eviction.remove(host);
+                    }
+                }
+            }
+            "broker.grant" => {
+                if let Some((host, _job)) = host_arrow_job(&e.detail) {
+                    if present.get(host).copied().unwrap_or(false) {
+                        awaiting_eviction.insert(host.to_string(), i);
                     }
                 }
             }
@@ -556,7 +566,7 @@ fn owner_eviction(events: &[TraceEvent]) -> Vec<Violation> {
     out.extend(awaiting_eviction.into_iter().map(|(host, i)| {
         violation(
             "owner-eviction",
-            format!("owner returned to {host} but the machine was never vacated"),
+            format!("the owner of {host} is present but the machine was never vacated"),
             vec![&events[i]],
         )
     }));

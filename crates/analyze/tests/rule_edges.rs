@@ -131,6 +131,20 @@ fn owner_return_resolved_by_free_is_clean() {
     assert_clean(&t);
 }
 
+/// owner-eviction: the broker may grant a machine whose owner has just
+/// returned (it acts on the last daemon report); the grant is legal as
+/// long as the next report evicts the job.
+#[test]
+fn grant_evicted_after_report_lag_is_clean() {
+    let mut t = prologue();
+    t.push(ev(10, "machine.owner", "n00 present=true"));
+    t.push(ev(11, "broker.grant", "n00 -> j1 (g1)"));
+    t.push(ev(12, "broker.evict.owner", "n00 from j1"));
+    t.push(ev(13, "broker.reclaim", "n00 from j1"));
+    t.push(ev(20, "broker.freed", "n00 by j1"));
+    assert_clean(&t);
+}
+
 /// job-lifecycle: a finished job poisons only *itself* — granting the
 /// same machine to a different, live job right after is legal.
 #[test]

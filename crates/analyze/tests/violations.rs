@@ -266,6 +266,22 @@ fn ignored_owner_return_is_caught() {
 }
 
 #[test]
+fn grant_to_present_owner_machine_is_caught() {
+    // The owner returns while the machine is being reclaimed for another
+    // job's grow; the reclaim completes and the machine is granted to the
+    // requester with the owner still at the console, and nobody evicts.
+    let mut t = prologue();
+    t.push(ev(10, "broker.grant", "n00 -> j1 (g1)"));
+    t.push(ev(20, "broker.reclaim", "n00 from j1"));
+    t.push(ev(25, "machine.owner", "n00 present=true"));
+    t.push(ev(30, "broker.freed", "n00 by j1"));
+    t.push(ev(31, "broker.grant", "n00 -> j2 (g2)"));
+    let v = assert_caught(&t, "owner-eviction");
+    let hit = v.iter().find(|x| x.rule == "owner-eviction").unwrap();
+    assert_eq!(hit.window[0].topic.as_str(), "broker.grant");
+}
+
+#[test]
 fn owner_eviction_path_is_clean() {
     let mut t = prologue();
     t.push(ev(10, "broker.grant", "n00 -> j1 (g1)"));

@@ -17,6 +17,7 @@ use rb_proto::{
 use rb_simcore::FxHashMap;
 use rb_simcore::{SimTime, SpanId};
 use rb_simnet::{Behavior, Ctx};
+use std::collections::BTreeMap;
 
 /// Broker configuration.
 pub struct BrokerConfig {
@@ -59,12 +60,26 @@ struct MachInfo {
     last_effective_owner: bool,
 }
 
+impl MachInfo {
+    /// Is the owner effectively present at `now` (logged in, or recent
+    /// keyboard/mouse activity on a private machine)?
+    fn owner_effective(&self, now: SimTime) -> bool {
+        self.owner_present || now < self.activity_hold_until
+    }
+
+    /// Bring the policy's view of this machine up to date.
+    fn refresh(&self, view: &mut MachineView, now: SimTime) {
+        view.state = self.usage;
+        view.owner_present = self.owner_effective(now);
+        view.load = self.load;
+        view.daemon_alive = self.daemon.is_some();
+    }
+}
+
 #[derive(Debug)]
 struct JobInfo {
     appl: ProcId,
     adaptive: bool,
-    #[allow(dead_code)]
-    module: Option<String>,
     desired: u32,
     constraints: Vec<rb_rsl::Clause>,
     held: Vec<MachineId>,
@@ -72,15 +87,24 @@ struct JobInfo {
     user: String,
 }
 
+/// A machine being vacated: whose it was, and who gets it.
+#[derive(Debug)]
+struct Reclaim {
+    victim: JobId,
+    why: ReclaimFor,
+}
+
 /// Why a machine is being vacated.
 #[derive(Debug, Clone, Copy)]
 enum ReclaimFor {
     /// A pending grow of another job gets it once free. The decide span
     /// stays open across the reclaim: its duration *is* the paper's
-    /// reallocation latency.
+    /// reallocation latency. The request's constraint lets the grow be
+    /// decided again if the machine's owner returns first.
     Grow {
         job: JobId,
         grow: GrowId,
+        constraint: rb_proto::SymbolicHost,
         span: SpanId,
     },
     /// The private owner returned.
@@ -90,11 +114,17 @@ enum ReclaimFor {
 /// The broker behavior.
 pub struct Broker {
     cfg: BrokerConfig,
-    machines: FxHashMap<MachineId, MachInfo>,
-    jobs: FxHashMap<JobId, JobInfo>,
+    /// The machine-status database, indexed by `MachineId` (the world's
+    /// machines are `0..n`).
+    machines: Vec<MachInfo>,
+    /// What the policy is shown, one entry per machine in id order. The
+    /// attributes are copied once at start; the rest is refreshed from
+    /// `machines` right before each policy call.
+    views: Vec<MachineView>,
+    jobs: BTreeMap<JobId, JobInfo>,
     next_job: u32,
-    /// machine being vacated -> beneficiary.
-    reclaims: FxHashMap<MachineId, ReclaimFor>,
+    /// machine being vacated -> victim and beneficiary.
+    reclaims: FxHashMap<MachineId, Reclaim>,
     /// reservation timers: token -> machine.
     reservation_timers: FxHashMap<TimerToken, MachineId>,
     /// FIFO queue of batch-job allocation requests waiting for capacity.
@@ -116,8 +146,9 @@ impl Broker {
     pub fn new(cfg: BrokerConfig) -> Self {
         Broker {
             cfg,
-            machines: FxHashMap::default(),
-            jobs: FxHashMap::default(),
+            machines: Vec::new(),
+            views: Vec::new(),
+            jobs: BTreeMap::new(),
             next_job: 1,
             reclaims: FxHashMap::default(),
             reservation_timers: FxHashMap::default(),
@@ -127,66 +158,39 @@ impl Broker {
         }
     }
 
-    fn machine_views(&self, ctx: &Ctx<'_>) -> Vec<MachineView> {
-        let now = ctx.now();
-        let mut v: Vec<MachineView> = self
-            .machines
-            .iter()
-            .map(|(&id, info)| MachineView {
-                id,
-                attrs: ctx.attrs_of(id).clone(),
-                state: info.usage,
-                // Effective presence: logged in, or recent console
-                // activity on a private machine.
-                owner_present: info.owner_present || now < info.activity_hold_until,
-                load: info.load,
-                daemon_alive: info.daemon.is_some(),
-            })
-            .collect();
-        v.sort_by_key(|m| m.id);
-        v
+    fn machine_mut(&mut self, machine: MachineId) -> Option<&mut MachInfo> {
+        self.machines.get_mut(machine.0 as usize)
     }
 
-    /// Per-job holdings, adjusted for in-flight reclaims: a machine being
-    /// vacated no longer counts for its victim and already counts for the
-    /// requester it is destined for. Without this, a burst of concurrent
-    /// grow requests all see the victim's stale count and strip it bare —
-    /// the even partition the policy promises would never materialize.
-    fn effective_held(&self) -> FxHashMap<JobId, i64> {
-        let mut held: FxHashMap<JobId, i64> = self
-            .jobs
-            .iter()
-            .map(|(&job, info)| (job, info.held.len() as i64))
-            .collect();
-        for (machine, why) in &self.reclaims {
-            if let Some((&victim, _)) = self
-                .jobs
-                .iter()
-                .find(|(_, info)| info.held.contains(machine))
-            {
-                *held.entry(victim).or_default() -= 1;
-            }
-            if let ReclaimFor::Grow { job, .. } = why {
-                *held.entry(*job).or_default() += 1;
-            }
-        }
-        held
-    }
-
+    /// Jobs in id order with their holdings, adjusted for in-flight
+    /// reclaims: a machine being vacated no longer counts for its victim
+    /// and already counts for the requester it is destined for. Without
+    /// this, a burst of concurrent grow requests all see the victim's
+    /// stale count and strip it bare — the even partition the policy
+    /// promises would never materialize.
     fn job_views(&self) -> Vec<JobView> {
-        let effective = self.effective_held();
-        let mut v: Vec<JobView> = self
+        let mut views: Vec<JobView> = self
             .jobs
             .iter()
             .map(|(&job, info)| JobView {
                 job,
                 adaptive: info.adaptive,
-                held: effective.get(&job).copied().unwrap_or(0).max(0) as u32,
+                held: info.held.len() as u32,
                 desired: info.desired,
             })
             .collect();
-        v.sort_by_key(|j| j.job);
-        v
+        let find = |views: &[JobView], job: JobId| views.binary_search_by_key(&job, |j| j.job).ok();
+        for r in self.reclaims.values() {
+            if let Some(i) = find(&views, r.victim) {
+                views[i].held = views[i].held.saturating_sub(1);
+            }
+            if let ReclaimFor::Grow { job, .. } = r.why {
+                if let Some(i) = find(&views, job) {
+                    views[i].held += 1;
+                }
+            }
+        }
+        views
     }
 
     fn grant(
@@ -201,13 +205,13 @@ impl Broker {
         let Some(info) = self.jobs.get_mut(&job) else {
             // Requester vanished while we worked: machine stays free.
             ctx.close_span(span, "alloc.decide", "job-gone");
-            self.set_usage(ctx, machine, MachineUse::Free);
+            self.set_usage(machine, MachineUse::Free);
             return;
         };
         info.held.push(machine);
         let adaptive = info.adaptive;
         let appl = info.appl;
-        self.set_usage(ctx, machine, MachineUse::Allocated { job, adaptive });
+        self.set_usage(machine, MachineUse::Allocated { job, adaptive });
         ctx.trace("broker.grant", format_args!("{hostname} -> {job} ({grow})"));
         ctx.metric_inc("broker.grants", job);
         ctx.close_span(span, "alloc.decide", "granted");
@@ -222,8 +226,8 @@ impl Broker {
         );
     }
 
-    fn set_usage(&mut self, _ctx: &mut Ctx<'_>, machine: MachineId, usage: MachineUse) {
-        if let Some(m) = self.machines.get_mut(&machine) {
+    fn set_usage(&mut self, machine: MachineId, usage: MachineUse) {
+        if let Some(m) = self.machine_mut(machine) {
             m.usage = usage;
         }
     }
@@ -240,8 +244,8 @@ impl Broker {
             return;
         };
         let appl = vinfo.appl;
-        self.set_usage(ctx, machine, MachineUse::Reclaiming);
-        self.reclaims.insert(machine, why);
+        self.set_usage(machine, MachineUse::Reclaiming);
+        self.reclaims.insert(machine, Reclaim { victim, why });
         let host = ctx.hostname_of(machine);
         ctx.trace("broker.reclaim", format_args!("{host} from {victim}"));
         ctx.metric_inc("broker.reclaims", victim);
@@ -252,37 +256,29 @@ impl Broker {
     /// keyboard/mouse activity on a private machine)?
     fn owner_effective(&self, now: SimTime, machine: MachineId) -> bool {
         self.machines
-            .get(&machine)
-            .map(|m| m.owner_present || now < m.activity_hold_until)
-            .unwrap_or(false)
+            .get(machine.0 as usize)
+            .is_some_and(|m| m.owner_effective(now))
     }
 
     /// A machine just became free: offer it to a hungry job, per policy.
     fn offer_or_idle(&mut self, ctx: &mut Ctx<'_>, machine: MachineId) {
         let now = ctx.now();
-        let Some(m) = self.machines.get(&machine) else {
+        let i = machine.0 as usize;
+        let Some(m) = self.machines.get_mut(i) else {
             return;
         };
-        let _ = m;
-        if self.owner_effective(now, machine) {
-            self.set_usage(ctx, machine, MachineUse::OwnerHeld);
+        if m.owner_effective(now) {
+            m.usage = MachineUse::OwnerHeld;
             return;
         }
-        self.set_usage(ctx, machine, MachineUse::Free);
-        let view = MachineView {
-            id: machine,
-            attrs: ctx.attrs_of(machine).clone(),
-            state: MachineUse::Free,
-            owner_present: false,
-            load: self.machines[&machine].load,
-            daemon_alive: self.machines[&machine].daemon.is_some(),
-        };
+        m.usage = MachineUse::Free;
+        m.refresh(&mut self.views[i], now);
         let jobs = self.job_views();
-        if let Some(job) = self.cfg.policy.offer(&view, &jobs) {
+        if let Some(job) = self.cfg.policy.offer(&self.views[i], &jobs) {
             if let Some(jinfo) = self.jobs.get(&job) {
                 let appl = jinfo.appl;
-                let hostname = view.attrs.hostname.clone();
-                self.set_usage(ctx, machine, MachineUse::Reserved { job });
+                let hostname = self.views[i].attrs.hostname.clone();
+                self.set_usage(machine, MachineUse::Reserved { job });
                 // Reservations expire so an unresponsive job cannot strand
                 // a machine.
                 let token = ctx.set_timer(rb_simcore::Duration::from_secs(30));
@@ -302,7 +298,7 @@ impl Broker {
         let me = ctx.me();
         let handle = ctx.rsh_standard(&hostname, CommandSpec::RbDaemon { broker: me });
         self.daemon_rsh.insert(handle, machine);
-        if let Some(m) = self.machines.get_mut(&machine) {
+        if let Some(m) = self.machine_mut(machine) {
             m.respawning = true;
         }
     }
@@ -311,7 +307,8 @@ impl Broker {
     /// requests replayed from the queue (a second failure re-queues at the
     /// front rather than the back). `req_span` is the appl's `alloc` span;
     /// `decide` is a decide span already opened for this request (queue
-    /// replays) or `NONE` for a fresh request.
+    /// replays, grows whose reclaim the owner preempted) or `NONE` for a
+    /// fresh request.
     #[allow(clippy::too_many_arguments)]
     fn handle_alloc(
         &mut self,
@@ -323,10 +320,10 @@ impl Broker {
         req_span: SpanId,
         decide: SpanId,
     ) {
-        if !self.jobs.contains_key(&job) {
+        let Some(jinfo) = self.jobs.get(&job) else {
             ctx.close_span(decide, "alloc.decide", "job-gone");
             return; // job finished while queued
-        }
+        };
         let decide = if decide == SpanId::NONE {
             ctx.open_span(
                 req_span,
@@ -336,8 +333,10 @@ impl Broker {
         } else {
             decide
         };
-        let held = self.effective_held().get(&job).copied().unwrap_or(0).max(0) as u32;
-        let jinfo = self.jobs.get(&job).expect("checked above");
+        let jobs = self.job_views();
+        let held = jobs
+            .binary_search_by_key(&job, |j| j.job)
+            .map_or(0, |i| jobs[i].held);
         let req = AllocContext {
             job,
             adaptive: jinfo.adaptive,
@@ -348,9 +347,11 @@ impl Broker {
             user: jinfo.user.clone(),
         };
         let appl = jinfo.appl;
-        let machines = self.machine_views(ctx);
-        let jobs = self.job_views();
-        let decision = self.cfg.policy.allocate(&req, &machines, &jobs);
+        let now = ctx.now();
+        for (m, view) in self.machines.iter().zip(&mut self.views) {
+            m.refresh(view, now);
+        }
+        let decision = self.cfg.policy.allocate(&req, &self.views, &jobs);
         match decision {
             Decision::Grant(machine) => {
                 // Clear any reservation timer tied to this machine.
@@ -365,6 +366,7 @@ impl Broker {
                     ReclaimFor::Grow {
                         job,
                         grow,
+                        constraint,
                         span: decide,
                     },
                 );
@@ -417,11 +419,11 @@ impl Broker {
             // Machine state is still whatever it was; mark free first so
             // the policy can pick it (or any other machine).
             if self.owner_effective(ctx.now(), machine) {
-                self.set_usage(ctx, machine, MachineUse::OwnerHeld);
+                self.set_usage(machine, MachineUse::OwnerHeld);
                 self.queue.push_front(q);
                 return;
             }
-            self.set_usage(ctx, machine, MachineUse::Free);
+            self.set_usage(machine, MachineUse::Free);
             self.handle_alloc(
                 ctx,
                 q.job,
@@ -436,8 +438,20 @@ impl Broker {
         self.offer_or_idle(ctx, machine);
     }
 
+    /// A vacated machine is free: it goes to the grow it was reclaimed
+    /// for, to its returned owner, or back to the pool.
+    fn machine_vacated(&mut self, ctx: &mut Ctx<'_>, machine: MachineId) {
+        match self.reclaims.remove(&machine).map(|r| r.why) {
+            Some(ReclaimFor::Grow {
+                job, grow, span, ..
+            }) => self.grant(ctx, job, grow, machine, span),
+            Some(ReclaimFor::Owner) => self.set_usage(machine, MachineUse::OwnerHeld),
+            None => self.serve_queue_or_offer(ctx, machine),
+        }
+    }
+
     fn handle_owner_transition(&mut self, ctx: &mut Ctx<'_>, machine: MachineId, present: bool) {
-        let usage = match self.machines.get(&machine) {
+        let usage = match self.machines.get(machine.0 as usize) {
             Some(m) => m.usage,
             None => return,
         };
@@ -446,27 +460,46 @@ impl Broker {
                 MachineUse::Allocated { job, adaptive }
                     if adaptive && self.cfg.policy.evict_on_owner_return() =>
                 {
-                    ctx.trace("broker.evict.owner", format_args!("{machine} from {job}"));
+                    let host = ctx.hostname_of(machine);
+                    ctx.trace("broker.evict.owner", format_args!("{host} from {job}"));
                     self.start_reclaim(ctx, job, machine, ReclaimFor::Owner);
                 }
                 MachineUse::Free | MachineUse::Reserved { .. } => {
-                    self.set_usage(ctx, machine, MachineUse::OwnerHeld);
+                    self.set_usage(machine, MachineUse::OwnerHeld);
+                }
+                MachineUse::Reclaiming => {
+                    // The owner outranks the grow this machine is being
+                    // vacated for: it goes to the owner once free, and the
+                    // grow is decided again under its still-open span.
+                    let Some(r) = self.reclaims.get_mut(&machine) else {
+                        return;
+                    };
+                    let victim = r.victim;
+                    let ReclaimFor::Grow {
+                        job,
+                        grow,
+                        constraint,
+                        span,
+                    } = std::mem::replace(&mut r.why, ReclaimFor::Owner)
+                    else {
+                        return;
+                    };
+                    let host = ctx.hostname_of(machine);
+                    ctx.trace("broker.evict.owner", format_args!("{host} from {victim}"));
+                    self.handle_alloc(ctx, job, grow, constraint, true, SpanId::NONE, span);
                 }
                 _ => {}
             }
         } else if matches!(usage, MachineUse::OwnerHeld) {
-            ctx.trace("broker.owner.left", format_args!("{machine}"));
+            ctx.trace("broker.owner.left", ctx.hostname_of(machine));
             self.offer_or_idle(ctx, machine);
         }
     }
 
-    fn cluster_status(&self, ctx: &Ctx<'_>) -> Vec<String> {
+    fn cluster_status(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        let mut ids: Vec<&MachineId> = self.machines.keys().collect();
-        ids.sort();
-        for &id in ids {
-            let m = &self.machines[&id];
-            let attrs = ctx.attrs_of(id);
+        for (m, view) in self.machines.iter().zip(&self.views) {
+            let attrs = &view.attrs;
             lines.push(format!(
                 "{:<6} {:<8} {:?} load={} owner={} daemon={}",
                 attrs.hostname,
@@ -477,10 +510,7 @@ impl Broker {
                 m.daemon.is_some()
             ));
         }
-        let mut jobs: Vec<&JobId> = self.jobs.keys().collect();
-        jobs.sort();
-        for &job in jobs {
-            let j = &self.jobs[&job];
+        for (job, j) in &self.jobs {
             lines.push(format!(
                 "{job}: user={} adaptive={} held={} desired={}",
                 j.user,
@@ -503,20 +533,28 @@ impl Behavior for Broker {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        // `all_machines` lists ids `0..n` in order: entry `i` is machine `i`.
         for id in ctx.all_machines() {
-            self.machines.insert(
+            let info = MachInfo {
+                daemon: None,
+                usage: MachineUse::Free,
+                owner_present: false,
+                load: 0,
+                last_contact: now,
+                respawning: false,
+                activity_hold_until: SimTime::ZERO,
+                last_effective_owner: false,
+            };
+            let view = MachineView {
                 id,
-                MachInfo {
-                    daemon: None,
-                    usage: MachineUse::Free,
-                    owner_present: false,
-                    load: 0,
-                    last_contact: now,
-                    respawning: false,
-                    activity_hold_until: SimTime::ZERO,
-                    last_effective_owner: false,
-                },
-            );
+                attrs: ctx.attrs_of(id).clone(),
+                state: info.usage,
+                owner_present: false,
+                load: 0,
+                daemon_alive: false,
+            };
+            self.machines.push(info);
+            self.views.push(view);
         }
         ctx.trace(
             "broker.up",
@@ -542,20 +580,18 @@ impl Behavior for Broker {
                 2 * ctx.cost().daemon_report_interval.as_micros()
                     + ctx.cost().daemon_ping_interval.as_micros(),
             );
-            let mut stale: Vec<MachineId> = self
+            let stale: Vec<MachineId> = self
                 .machines
                 .iter()
-                .filter(|(_, m)| {
+                .zip(&self.views)
+                .filter(|(m, _)| {
                     !m.respawning && now.saturating_since(m.last_contact) > silence_limit
                 })
-                .map(|(&id, _)| id)
+                .map(|(_, v)| v.id)
                 .collect();
-            stale.sort();
             for id in stale {
                 ctx.trace("broker.daemon.lost", format_args!("{id}"));
-                if let Some(m) = self.machines.get_mut(&id) {
-                    m.daemon = None;
-                }
+                self.machines[id.0 as usize].daemon = None;
                 self.spawn_daemon(ctx, id);
             }
             let interval = ctx.cost().daemon_ping_interval;
@@ -564,12 +600,11 @@ impl Behavior for Broker {
         }
         if let Some(machine) = self.reservation_timers.remove(&token) {
             // Reservation expired unused.
-            if matches!(
-                self.machines.get(&machine).map(|m| m.usage),
-                Some(MachineUse::Reserved { .. })
-            ) {
-                ctx.trace("broker.reservation.expired", format_args!("{machine}"));
-                self.set_usage(ctx, machine, MachineUse::Free);
+            if let Some(m) = self.machine_mut(machine) {
+                if matches!(m.usage, MachineUse::Reserved { .. }) {
+                    m.usage = MachineUse::Free;
+                    ctx.trace("broker.reservation.expired", format_args!("{machine}"));
+                }
             }
         }
     }
@@ -581,7 +616,7 @@ impl Behavior for Broker {
         result: Result<ExitStatus, RshError>,
     ) {
         if let Some(machine) = self.daemon_rsh.remove(&handle) {
-            if let Some(m) = self.machines.get_mut(&machine) {
+            if let Some(m) = self.machine_mut(machine) {
                 m.respawning = false;
                 if result.is_err() {
                     ctx.trace("broker.daemon.spawn-failed", format_args!("{machine}"));
@@ -595,7 +630,7 @@ impl Behavior for Broker {
         match msg {
             // ---------------- daemons ----------------
             BrokerMsg::DaemonHello { machine } => {
-                if let Some(m) = self.machines.get_mut(&machine) {
+                if let Some(m) = self.machine_mut(machine) {
                     m.daemon = Some(from);
                     m.last_contact = ctx.now();
                     m.respawning = false;
@@ -612,28 +647,25 @@ impl Behavior for Broker {
                 let private = ctx.attrs_of(machine).ownership.is_private();
                 let now = ctx.now();
                 let hold = rb_simcore::Duration::from_secs(30);
-                let (prev_effective, effective) = match self.machines.get_mut(&machine) {
-                    Some(m) => {
-                        m.daemon = Some(from);
-                        m.last_contact = now;
-                        m.load = report.load;
-                        let prev = m.last_effective_owner;
-                        if private && report.console_active {
-                            m.activity_hold_until = now + hold;
-                        }
-                        m.owner_present = report.owner_present;
-                        let eff = m.owner_present || now < m.activity_hold_until;
-                        m.last_effective_owner = eff;
-                        (prev, eff)
-                    }
-                    None => return,
+                let Some(m) = self.machine_mut(machine) else {
+                    return;
                 };
+                m.daemon = Some(from);
+                m.last_contact = now;
+                m.load = report.load;
+                let prev_effective = m.last_effective_owner;
+                if private && report.console_active {
+                    m.activity_hold_until = now + hold;
+                }
+                m.owner_present = report.owner_present;
+                let effective = m.owner_effective(now);
+                m.last_effective_owner = effective;
                 if prev_effective != effective {
                     self.handle_owner_transition(ctx, machine, effective);
                 }
             }
             BrokerMsg::DaemonPong { machine, .. } => {
-                if let Some(m) = self.machines.get_mut(&machine) {
+                if let Some(m) = self.machine_mut(machine) {
                     m.last_contact = ctx.now();
                 }
             }
@@ -668,7 +700,6 @@ impl Behavior for Broker {
                         appl,
                         adaptive: spec.adaptive,
                         desired: spec.min_count,
-                        module: spec.module,
                         constraints: spec.constraints,
                         held: Vec::new(),
                         home,
@@ -697,7 +728,7 @@ impl Behavior for Broker {
             }
             BrokerMsg::MachineUnreachable { machine } => {
                 ctx.trace("broker.unreachable", format_args!("{machine}"));
-                if let Some(m) = self.machines.get_mut(&machine) {
+                if let Some(m) = self.machine_mut(machine) {
                     // Distrust until a daemon hello/report arrives again;
                     // the liveness tick will keep retrying the respawn.
                     m.daemon = None;
@@ -709,39 +740,13 @@ impl Behavior for Broker {
                 }
                 let host = ctx.hostname_of(machine);
                 ctx.trace("broker.freed", format_args!("{host} by {job}"));
-                match self.reclaims.remove(&machine) {
-                    Some(ReclaimFor::Grow {
-                        job: target,
-                        grow,
-                        span,
-                    }) => {
-                        self.grant(ctx, target, grow, machine, span);
-                    }
-                    Some(ReclaimFor::Owner) => {
-                        self.set_usage(ctx, machine, MachineUse::OwnerHeld);
-                    }
-                    None => {
-                        self.serve_queue_or_offer(ctx, machine);
-                    }
-                }
+                self.machine_vacated(ctx, machine);
             }
             BrokerMsg::JobDone { job } => {
                 ctx.trace("broker.job.done", format_args!("{job}"));
                 if let Some(jinfo) = self.jobs.remove(&job) {
                     for machine in jinfo.held {
-                        match self.reclaims.remove(&machine) {
-                            Some(ReclaimFor::Grow {
-                                job: target,
-                                grow,
-                                span,
-                            }) => {
-                                self.grant(ctx, target, grow, machine, span);
-                            }
-                            Some(ReclaimFor::Owner) => {
-                                self.set_usage(ctx, machine, MachineUse::OwnerHeld);
-                            }
-                            None => self.serve_queue_or_offer(ctx, machine),
-                        }
+                        self.machine_vacated(ctx, machine);
                     }
                 }
                 let mut kept = std::collections::VecDeque::with_capacity(self.queue.len());
@@ -754,13 +759,13 @@ impl Behavior for Broker {
                 }
                 self.queue = kept;
                 // Reservations held for the finished job lapse.
-                let mut lapsed: Vec<MachineId> = self
+                let lapsed: Vec<MachineId> = self
                     .machines
                     .iter()
-                    .filter(|(_, m)| matches!(m.usage, MachineUse::Reserved { job: r } if r == job))
-                    .map(|(&id, _)| id)
+                    .zip(&self.views)
+                    .filter(|(m, _)| matches!(m.usage, MachineUse::Reserved { job: r } if r == job))
+                    .map(|(_, v)| v.id)
                     .collect();
-                lapsed.sort();
                 for machine in lapsed {
                     self.serve_queue_or_offer(ctx, machine);
                 }
@@ -768,7 +773,7 @@ impl Behavior for Broker {
 
             // ---------------- user tools ----------------
             BrokerMsg::QueryCluster { reply_to } => {
-                let lines = self.cluster_status(ctx);
+                let lines = self.cluster_status();
                 ctx.send(
                     reply_to,
                     Payload::Broker(BrokerMsg::ClusterStatus { lines }),

@@ -160,6 +160,33 @@ pub enum BrokerMsg {
     },
 }
 
+impl BrokerMsg {
+    /// `broker.<Variant>`: the profiler's per-message-kind key for this
+    /// family, one per variant so daemon reports and allocation requests
+    /// are timed apart.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            BrokerMsg::DaemonHello { .. } => "broker.DaemonHello",
+            BrokerMsg::DaemonStatus(_) => "broker.DaemonStatus",
+            BrokerMsg::DaemonPing { .. } => "broker.DaemonPing",
+            BrokerMsg::DaemonPong { .. } => "broker.DaemonPong",
+            BrokerMsg::RegisterJob { .. } => "broker.RegisterJob",
+            BrokerMsg::AllocRequest { .. } => "broker.AllocRequest",
+            BrokerMsg::MachineFreed { .. } => "broker.MachineFreed",
+            BrokerMsg::MachineUnreachable { .. } => "broker.MachineUnreachable",
+            BrokerMsg::JobDone { .. } => "broker.JobDone",
+            BrokerMsg::JobAccepted { .. } => "broker.JobAccepted",
+            BrokerMsg::JobRejected { .. } => "broker.JobRejected",
+            BrokerMsg::AllocGrant { .. } => "broker.AllocGrant",
+            BrokerMsg::AllocDenied { .. } => "broker.AllocDenied",
+            BrokerMsg::ReleaseMachine { .. } => "broker.ReleaseMachine",
+            BrokerMsg::GrowOffer { .. } => "broker.GrowOffer",
+            BrokerMsg::QueryCluster { .. } => "broker.QueryCluster",
+            BrokerMsg::ClusterStatus { .. } => "broker.ClusterStatus",
+        }
+    }
+}
+
 /// Application-layer protocol: `rsh'` ↔ `appl` ↔ sub-`appl`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApplMsg {
@@ -561,10 +588,11 @@ pub enum Payload {
 impl Payload {
     /// Short static name of the protocol family this payload belongs to —
     /// the kernel profiler's per-message-kind key (`&'static str`, so
-    /// recording allocates nothing).
+    /// recording allocates nothing). Broker traffic is split per variant
+    /// ([`BrokerMsg::kind_name`]).
     pub fn kind_name(&self) -> &'static str {
         match self {
-            Payload::Broker(_) => "broker",
+            Payload::Broker(m) => m.kind_name(),
             Payload::Appl(_) => "appl",
             Payload::Pvm(_) => "pvm",
             Payload::Lam(_) => "lam",
@@ -612,5 +640,7 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(a.kind_name(), "ctl");
+        let b = Payload::Broker(BrokerMsg::JobDone { job: JobId(1) });
+        assert_eq!(b.kind_name(), "broker.JobDone");
     }
 }

@@ -23,6 +23,7 @@ fn overnight_harvest_of_private_workstations() {
         ..Default::default()
     };
     let mut c = build_cluster(opts);
+    rb_analyze::install_linter(&mut c.world);
     let desks: Vec<_> = (2..6).map(|i| c.machines[i]).collect();
 
     // 9am: everyone is at their desk.
@@ -104,4 +105,5 @@ fn overnight_harvest_of_private_workstations() {
         "desks computed {desk_busy}s overnight"
     );
     let _ = SimTime::ZERO;
+    c.world.run_trace_checks().unwrap();
 }

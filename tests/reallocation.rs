@@ -324,3 +324,61 @@ fn concurrent_reallocations_complete_independently() {
     assert!(c.world.trace().count("broker.reclaim") >= 2);
     c.world.run_trace_checks().unwrap();
 }
+
+fn endless_calypso(workers: u32) -> JobRequest {
+    JobRequest {
+        rsl: format!("+(count>={workers})(adaptive=1)"),
+        user: "cal".into(),
+        run: JobRun::Root(Box::new(CalypsoMaster::new(CalypsoConfig {
+            tasks: TaskBag::Endless { cpu_millis: 700 },
+            desired_workers: workers,
+            hostfile: vec!["anylinux".into()],
+            task_timeout: None,
+        }))),
+    }
+}
+
+#[test]
+fn owner_returning_during_a_grow_reclaim_keeps_the_machine() {
+    // The broker is vacating a private machine for another adaptive job's
+    // grow when the machine's owner sits down. The owner outranks the
+    // grow: the machine goes to the owner once vacated, and the grow is
+    // decided again instead of landing on the owner's desk.
+    let opts = ClusterOptions {
+        seed: 5,
+        machines: vec![
+            MachineAttrs::public_linux("n00"),
+            MachineAttrs::public_linux("n01"),
+            MachineAttrs::private_linux("p02", "pat"),
+        ],
+        ..Default::default()
+    };
+    let mut c = build_cluster(opts);
+    rb_analyze::install_linter(&mut c.world);
+    c.settle();
+    let p02 = c.machines[2];
+    c.submit(c.machines[0], endless_calypso(2));
+    let ok = c.world.run_until_pred(SimTime(60_000_000), |w| {
+        w.procs_named("calypso-worker").len() == 2
+    });
+    assert!(ok, "first job never saturated");
+    c.world
+        .run_until(c.world.now() + Duration::from_millis(100));
+    c.submit(c.machines[0], endless_calypso(1));
+    let ok = c
+        .world
+        .run_until_pred(FAR, |w| w.trace().count("broker.reclaim") == 1);
+    assert!(ok, "second job's grow never reclaimed");
+    let reclaim = c.world.trace().last("broker.reclaim").unwrap();
+    assert_eq!(reclaim.detail, "p02 from j1");
+
+    c.world.set_owner_present(p02, true);
+    c.world.run_until(c.world.now() + Duration::from_secs(60));
+    assert_eq!(c.world.app_procs_on(p02), 0, "a worker runs at pat's desk");
+    assert_eq!(c.world.trace().count("broker.evict.owner"), 1);
+    // The grow that lost its machine is decided again; with nothing else
+    // to take, it is denied.
+    let deny = c.world.trace().last("broker.deny").unwrap();
+    assert_eq!(deny.detail, "j2 (g1): no machine available");
+    c.world.run_trace_checks().unwrap();
+}

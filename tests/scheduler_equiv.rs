@@ -203,6 +203,27 @@ fn profiling_is_a_pure_observer() {
     assert_eq!(reg.counter("prof.wall_ns", ""), wall_ns);
 }
 
+/// The profiler keys broker traffic by message variant, so daemon reports
+/// and allocation requests show up as separate `prof.payload.*` rows.
+#[test]
+fn profiler_times_broker_messages_per_variant() {
+    let mut c = rb_workloads::scenarios::broker_testbed_profiled(
+        2,
+        42,
+        Box::new(DefaultPolicy::default()),
+        rb_simcore::Duration::from_secs(1),
+    );
+    submit_endless_calypso(&mut c, 2, 500);
+    let limit = SimTime(c.world.now().as_micros() + 60_000_000);
+    await_calypso_workers(&mut c, 2, limit);
+    let prof = c.world.profiler().expect("profiling enabled");
+    let kinds: Vec<&str> = prof.payloads().map(|(kind, _)| kind).collect();
+    for kind in ["broker.DaemonStatus", "broker.AllocRequest"] {
+        assert!(kinds.contains(&kind), "{kind} missing from {kinds:?}");
+    }
+    assert!(!kinds.contains(&"broker"), "{kinds:?}");
+}
+
 /// The true-parallel determinism contract (DESIGN.md §17): dispatching
 /// the lanes on worker threads replays the serial kernel byte-for-byte —
 /// same trace, same clock, same work counters — at 2 and 4 shards.
