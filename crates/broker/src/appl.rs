@@ -487,14 +487,9 @@ impl Behavior for Appl {
                         match HostSpec::classify(&host) {
                             HostSpec::Symbolic(sym) => self.request_alloc(ctx, grow, sym),
                             HostSpec::Real(hostname) => {
-                                if let Some(g) = self.grows.get_mut(&grow) {
-                                    g.kind = GrowKind::Proceed;
-                                    g.cmd = g.cmd.take();
-                                }
                                 // Named machine: still run through the
                                 // sub-appl for monitoring, but no broker
                                 // round-trip.
-                                self.grows.get_mut(&grow).expect("present").kind = GrowKind::Remote;
                                 self.start_subappl(ctx, grow, &hostname);
                             }
                         }

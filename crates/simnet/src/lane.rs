@@ -350,6 +350,12 @@ pub(crate) struct Lane {
     pub machines: Vec<MachineState>,
     /// Per-machine kernel streams, same indexing.
     pub mkern: Vec<MachineKernel>,
+    /// Running processes by behavior name, ids ascending (so
+    /// machine-major). Only `insert_proc` and `terminate` move a process
+    /// into or out of `Running`, and a name never changes after spawn, so
+    /// those two keep it exact; `World::procs_named` reads it instead of
+    /// scanning every entry ever spawned.
+    pub running: FxHashMap<&'static str, Vec<ProcId>>,
     /// In-flight rsh operations this lane is responsible for advancing.
     pub rsh_ops: FxHashMap<u64, RshOp>,
     /// (machine, user, service-name) -> provider process.
@@ -395,6 +401,7 @@ impl Lane {
             queue: EventQueue::new(),
             machines: Vec::new(),
             mkern: Vec::new(),
+            running: Default::default(),
             rsh_ops: Default::default(),
             services: Default::default(),
             disks: Default::default(),
@@ -758,6 +765,10 @@ impl Lane {
             detached: false,
             has_services: false,
         });
+        // `p` is its machine's newest id, but another machine on this lane
+        // may hold larger ones.
+        let ids = self.running.entry(name).or_default();
+        ids.insert(ids.partition_point(|&q| q < p), p);
         self.trace.record(
             self.now,
             "proc.start",
@@ -782,6 +793,9 @@ impl Lane {
         let system = entry.env.system;
         let had_services = entry.has_services;
         let name = entry.name;
+        let ids = self.running.get_mut(name).expect("running name is indexed");
+        let at = ids.binary_search(&p).expect("running process is indexed");
+        ids.remove(at);
 
         let local = self.local_of(machine);
         if !system {

@@ -299,6 +299,7 @@ impl WorldBuilder {
                     queue,
                     machines,
                     mkern,
+                    running: Default::default(),
                     rsh_ops: Default::default(),
                     services: Default::default(),
                     disks: Default::default(),
@@ -990,15 +991,19 @@ impl World {
 
     /// Ids of all *alive* processes with the given behavior name, in
     /// machine-major id order.
+    ///
+    /// Reads each lane's running-process index (DESIGN §10.1), so a call
+    /// costs one lookup per lane plus the matches, not a scan of every
+    /// process ever spawned.
     pub fn procs_named(&self, name: &str) -> Vec<ProcId> {
         let mut out = Vec::new();
-        for m in 0..self.shared.attrs.len() {
-            let lane = &self.lanes[m % self.lanes.len()];
-            for (p, e) in lane.procs_on(MachineId(m as u32)) {
-                if e.name == name && matches!(e.state, ProcState::Running) {
-                    out.push(p);
-                }
+        for lane in &self.lanes {
+            if let Some(ids) = lane.running.get(name) {
+                out.extend_from_slice(ids);
             }
+        }
+        if self.lanes.len() > 1 {
+            out.sort_unstable();
         }
         out
     }

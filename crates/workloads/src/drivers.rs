@@ -73,24 +73,6 @@ impl Behavior for TimedRsh {
     }
 }
 
-/// Watches for a process-count condition and records when it first holds.
-/// Used to time "until the virtual machine reached size k".
-pub struct CountWatcher;
-
-impl CountWatcher {
-    /// Run the world until `procs_named(name).len() == target`; returns the
-    /// time the condition first held, or `None` on timeout.
-    pub fn await_count(
-        world: &mut rb_simnet::World,
-        name: &'static str,
-        target: usize,
-        limit: SimTime,
-    ) -> Option<SimTime> {
-        let ok = world.run_until_pred(limit, |w| w.procs_named(name).len() == target);
-        ok.then(|| world.now())
-    }
-}
-
 /// Makes a fresh shared observation slot.
 pub fn slot<T>() -> Slot<T> {
     Arc::new(Mutex::new(None))
